@@ -17,7 +17,7 @@ from .forms import DiagonalForm, is_isotropic, isotropic_to_universal, solve_con
 from .hilbert import hilbert_symbol
 from .places import support_places
 from .rationals import RationalLike, as_fraction, is_square
-from .sqclasses import common_value
+from .sqclasses import _common_value
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,13 @@ class QuaternionAlgebra:
     def is_split(self) -> bool:
         """Whether the algebra is isomorphic to 2x2 matrices over Q.
 
-        Decided two independent ways (isotropy of the pure norm form, and
-        Hilbert symbols at every relevant place); they must agree.
+        Decided once per algebra, two independent ways (isotropy of the pure
+        norm form, and Hilbert symbols at every relevant place) that must agree.
         """
+        return self._split
+
+    @cached_property
+    def _split(self) -> bool:
         by_form = is_isotropic(self.pure_norm_form())
         by_symbols = all(
             hilbert_symbol(self.alpha, self.beta, v) == 1
@@ -254,17 +258,15 @@ def sqrt_central_nonsplit(
     c = is_square(a * beta)
     if c is not None:
         return algebra.quaternion(0, 0, c / beta, 0)
-    d = common_value(
+    found = _common_value(
         DiagonalForm((a, -alpha)), DiagonalForm((beta, -alpha * beta))
     )
-    if d is None:
+    if found is None:
         return None
-    lam = solve_conic(alpha, d / beta)
-    mu = solve_conic(a * alpha, d / a)
-    if lam is None or mu is None:
-        raise RuntimeError("a norm equation with a represented value failed")
-    l0, l1 = lam
-    m0, m1 = mu
+    # The certificates solve l0^2 - alpha*l1^2 = d/beta and a*m0^2 - alpha*v^2
+    # = d, so mu = (m0, v/|a|) solves m0^2 - a*alpha*m1^2 = d/a.
+    _, (m0, v), (l0, l1) = found
+    m1 = v / abs(a)
     if m0 == 0:
         # Multiply mu by a norm-one element of Q(sqrt(a*alpha)) to move it
         # off the m0 = 0 locus; a*alpha != 1 since it is not a square.

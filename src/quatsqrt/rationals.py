@@ -6,6 +6,7 @@ terms with a positive denominator. No floats anywhere; every answer is exact.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -17,9 +18,26 @@ RationalLike = Union[int, Fraction]
 
 _TRIAL_BOUND = 10_000
 
-# Deterministic Miller-Rabin witness set: correct for every n < 3.317e24,
-# far beyond the word-sized numerators and denominators this library targets.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first k prime bases is deterministic for n < psi_k, the
+# smallest strong pseudoprime to all of them (Jaeschke 1993; Sorenson-Webster
+# 2017). Below psi_13 ~ 3.317e24 is_prime is exact; above it, it is a strong
+# probable-prime test to the 13 bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
@@ -63,16 +81,17 @@ def format_rational(q: RationalLike) -> str:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Miller-Rabin primality test, deterministic for n < 3.317e24."""
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
     s = ((d & -d).bit_length()) - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    k = min(bisect.bisect_right(_MR_PSI, n) + 1, len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

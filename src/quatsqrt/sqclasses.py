@@ -4,7 +4,8 @@ common_value finds one rational represented by both of two binary forms (or
 proves the intersection empty). Candidates are confined to square classes
 supported on a finite prime set; representability at each relevant place
 turns into a linear condition over GF(2), and the system is grown by
-appending primes until it becomes solvable.
+appending primes until it becomes solvable. _common_value hands back the
+certificates too, (d, represents(xi, d), represents(zeta, d)), for reuse.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forms import DiagonalForm, is_isotropic, represents
-from .hilbert import hilbert_symbol
-from .places import Place, iter_primes, sign_at_real, support_places
+from .hilbert import _symbol_squarefree
+from .places import REAL, Place, iter_primes, support_places
 from .rationals import RationalLike, as_fraction, factor, is_prime, is_square, squarefree_part
 
 _PRIME_APPEND_CAP = 64
@@ -150,19 +151,15 @@ def _mask(bits: Iterable[int]) -> int:
     return out
 
 
-def _next_prime_not_in(primes: Sequence[int]) -> int:
-    present = set(primes)
-    for p in iter_primes():
-        if p not in present:
-            return p
-    raise RuntimeError("unreachable")
+_Certified = tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
-def _certified(xi: DiagonalForm, zeta: DiagonalForm, d: RationalLike) -> Fraction:
+def _certified(xi: DiagonalForm, zeta: DiagonalForm, d: RationalLike) -> _Certified:
     d = as_fraction(d)
-    if represents(xi, d) is None or represents(zeta, d) is None:
+    rep_xi, rep_zeta = represents(xi, d), represents(zeta, d)
+    if rep_xi is None or rep_zeta is None:
         raise RuntimeError("common value failed its representation certificates")
-    return d
+    return d, rep_xi, rep_zeta
 
 
 def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
@@ -175,6 +172,11 @@ def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
     local conditions admit a solution. The result is re-verified against both
     forms before being returned.
     """
+    found = _common_value(xi, zeta)
+    return None if found is None else found[0]
+
+
+def _common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[_Certified]:
     if xi.dim != 2 or zeta.dim != 2:
         raise ValueError("common_value expects binary forms")
     x0, x1 = xi.entries
@@ -188,28 +190,24 @@ def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
     prime_list = sorted(
         v.prime for v in support_places((x0, x1, z0, z1)) if not v.is_real
     )
-    xi_definite = sign_at_real(-x0 * x1) < 0
-    zeta_definite = sign_at_real(-z0 * z1) < 0
-    if xi_definite:
-        sign_bit = _bit(sign_at_real(x0))
-    elif zeta_definite:
-        sign_bit = _bit(sign_at_real(z0))
+    # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree
+    # parts stand for the six classes read, so no round factors anything.
+    sx, sx0, sx1, sz, sz0, sz1 = (
+        squarefree_part(q)[0] for q in (-x0 * x1, x0, x1, -z0 * z1, z0, z1)
+    )
     for _ in range(_PRIME_APPEND_CAP):
-        basis = singular_basis(prime_list)
-        reps = [cls.representative for cls in basis.classes]
+        # Columns: the basis (-1, p_1, ..., p_s) of classes singular at the primes.
+        reps = [-1] + prime_list
+        places = [REAL] + [Place.finite(p) for p in prime_list]
         rows: list[int] = []
         rhs: list[int] = []
-        for disc, (b0, b1) in ((-x0 * x1, (x0, x1)), (-z0 * z1, (z0, z1))):
-            for p in prime_list:
-                v = Place.finite(p)
-                rows.append(_mask(_bit(hilbert_symbol(disc, rep, v)) for rep in reps))
-                rhs.append(_bit(hilbert_symbol(b0, b1, v)))
-        if xi_definite or zeta_definite:
-            rows.append(_mask(_bit(sign_at_real(rep)) for rep in reps))
-            rhs.append(sign_bit)
+        for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1)):
+            for v in places:
+                rows.append(_mask(_bit(_symbol_squarefree(disc, rep, v)) for rep in reps))
+                rhs.append(_bit(_symbol_squarefree(b0, b1, v)))
         eps = solve_gf2(GF2System(tuple(rows), tuple(rhs), len(reps)))
         if eps is not None:
-            return _certified(xi, zeta, basis.spanned(eps))
-        prime_list.append(_next_prime_not_in(prime_list))
+            return _certified(xi, zeta, math.prod(r for r, e in zip(reps, eps) if e))
+        prime_list.append(next(p for p in iter_primes() if p not in prime_list))
         prime_list.sort()
     raise RuntimeError("common-value search exceeded the prime-append cap")

@@ -133,6 +133,8 @@ class TestInvalidInput:
             ("sqrt", "--alpha", "1", "--beta", "1"),
             ("unknown-command",),
             (),
+            # a strong pseudoprime to the twelve prime bases 2..37
+            ("hilbert", "--a", "2", "--b", "3", "--place", "318665857834031151167461"),
         ],
     )
     def test_exit_two_and_stderr_line(self, argv):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatsqrt.forms import DiagonalForm, is_isotropic
+import quatsqrt.forms as forms_module
+import quatsqrt.quaternions as quaternions_module
+from quatsqrt.forms import DiagonalForm, is_isotropic, solve_conic
 from quatsqrt.quaternions import (
     Quaternion,
     QuaternionAlgebra,
@@ -84,6 +86,22 @@ class TestAlgebra:
     def test_isotropic_vector_is_cached(self):
         A = QuaternionAlgebra(Fraction(1), Fraction(1))
         assert A._pure_isotropic_vector is A._pure_isotropic_vector
+
+    def test_is_split_is_cached(self, monkeypatch):
+        # sqrt and the central routine's guard both ask; the pure norm form's
+        # isotropy is decided once per algebra.
+        calls = []
+
+        def counting(form):
+            calls.append(form)
+            return is_isotropic(form)
+
+        monkeypatch.setattr(quaternions_module, "is_isotropic", counting)
+        for alpha, beta in ((-1, -1), (1, 1)):
+            A = QuaternionAlgebra(Fraction(alpha), Fraction(beta))
+            for a in (2, -3, Fraction(7, 5)):
+                sqrt(A.scalar(a))
+            assert calls.count(A.pure_norm_form()) == 1
 
 
 class TestArithmetic:
@@ -209,6 +227,38 @@ class TestSqrtCentralNonsplit:
         r = sqrt_central_nonsplit(B25, Fraction(13))
         assert r is not None and r.square() == B25.scalar(13)
         assert r.is_pure
+
+    # Roots as returned before common_value handed back its certificates.
+    PINNED_ROOTS = [
+        ((-1, -1), -2, ("0", "-1", "1", "0")),
+        ((-1, -1), Fraction(-7, 3), ("0", "-1/3", "-4/3", "2/3")),
+        ((2, 5), 13, ("0", "16/7", "-5/7", "0")),
+        ((2, 5), Fraction(-56, 3), ("0", "-14/3", "20/3", "-16/3")),
+        ((3, -7), Fraction(-27, 7), ("0", "-3/5", "-36/35", "-12/35")),
+        ((3, -7), Fraction(31, 8), ("0", "18/17", "-13/68", "-13/68")),
+        ((-3, -7), Fraction(-11, 2), ("0", "19/16", "-95/224", "5/224")),
+    ]
+
+    @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
+    def test_pinned_roots(self, params, a, root):
+        A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
+        r = sqrt(A.scalar(a))
+        assert tuple(str(x) for x in r.coords) == root
+
+    @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
+    def test_two_conic_solves_per_root(self, params, a, root, monkeypatch):
+        # The two certificates of the common value are the two norm equations.
+        calls = []
+
+        def counting(alpha, c):
+            calls.append((alpha, c))
+            return solve_conic(alpha, c)
+
+        monkeypatch.setattr(forms_module, "solve_conic", counting)
+        monkeypatch.setattr(quaternions_module, "solve_conic", counting)
+        A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
+        assert sqrt_central_nonsplit(A, Fraction(a)) is not None
+        assert len(calls) == 2
 
     def test_unsolvable(self):
         assert sqrt_central_nonsplit(H, Fraction(7)) is None

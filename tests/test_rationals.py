@@ -65,8 +65,32 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)  # Mersenne
         assert not is_prime(2**61 + 1)
 
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            2047,
+            1373653,
+            25326001,
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+            318665857834031151167461,
+        ],
+    )
+    def test_strong_pseudoprimes_to_the_first_k_prime_bases(self, psi):
+        # psi_1..psi_12 (psi_7 = psi_8, psi_9 = psi_10 = psi_11): psi_k is the
+        # smallest strong pseudoprime to the first k prime bases.
+        assert not is_prime(psi)
+
 
 class TestFactor:
+    def test_strong_pseudoprime_factor(self):
+        # psi_12 passes Miller-Rabin to all twelve prime bases 2..37.
+        f = factor(4 * 318665857834031151167461)
+        assert f.factors == ((2, 2), (399165290221, 1), (798330580441, 1))
+
     def test_contract_example(self):
         f = factor(Fraction(-5, 8))
         assert f.sign == -1

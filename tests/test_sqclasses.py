@@ -162,6 +162,24 @@ class TestCommonValue:
             assert represents(xi, d) is not None
             assert represents(zeta, d) is not None
 
+    @pytest.mark.parametrize(
+        "xi, zeta, d",
+        [
+            ((13, -11), (-6, -2), -806),
+            ((3, 1), (11, 10), 21),
+            ((5, -3), (-7, 2), 2),
+            ((Fraction(-7, 3), 1), (-1, -1), -5),
+            ((Fraction(-11, 2), 3), (-7, -21), -13),
+            ((1, 2), (3, 5), 2),
+            ((-3, -5), (-2, -7), -2),
+            ((1, 1), (7, 11), 2),
+        ],
+    )
+    def test_pinned_values(self, xi, zeta, d):
+        # Values as returned before the search worked on squarefree integers.
+        found = common_value(DiagonalForm(xi), DiagonalForm(zeta))
+        assert (type(found), found) == (Fraction, d)
+
     @given(nonzero_small, nonzero_small, nonzero_small, nonzero_small)
     @settings(max_examples=120, deadline=None)
     def test_certified_or_provably_empty(self, x0, x1, z0, z1):
