@@ -3,19 +3,25 @@
 The computational core is solve_conic, a Lagrange-style descent for
 x^2 - alpha*y^2 = c that either returns an exact rational solution or
 proves there is none via local (Hilbert symbol) obstructions.
+
+Each value is factored once, and its square class (s, primes of s), with s
+squarefree and value = s*t^2, is carried to every local test and descent step.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .hilbert import hasse_invariant, hilbert_symbol
-from .places import Place, is_local_square, support_places
-from .rationals import RationalLike, as_fraction, factor, is_square, squarefree_part
+from .hilbert import _symbol_squarefree
+from .places import Place, _places_over, is_local_square
+from .rationals import RationalLike, as_fraction, factor, is_square
 
+_Class = tuple[int, list[int]]  # (s, primes of s) for a squarefree integer s
 Vector = tuple[Fraction, ...]
 
 
@@ -64,24 +70,47 @@ class DiagonalForm:
         return out
 
 
+def _square_class(q: RationalLike) -> _Class:
+    """(s, primes of s) for the squarefree integer s with q = s * t^2."""
+    fac = factor(q)
+    primes = [p for p, e in fac.factors if e % 2]
+    return fac.sign * math.prod(primes), primes
+
+
+def _times(a: int, b: int) -> int:
+    """The squarefree integer in the class of a*b, for squarefree a and b."""
+    return a * b // math.gcd(a, b) ** 2
+
+
+def _symbols_trivial(a: _Class, b: _Class) -> bool:
+    """Whether the Hilbert symbol of two square classes is +1 at every place."""
+    return all(_symbol_squarefree(a[0], b[0], v) == 1 for v in _places_over(a[1] + b[1]))
+
+
+def _isotropic_at(reps: Sequence[int], v: Place) -> bool:
+    """Local isotropy at v of a diagonal form given by its entries' classes."""
+    n, det = len(reps), functools.reduce(_times, reps)
+    if v.is_real:
+        return min(reps) < 0 < max(reps)
+    if n <= 2:
+        return n == 2 and is_local_square(-det, v)
+    if n >= 5:
+        return True
+    hasse = math.prod(_symbol_squarefree(a, b, v) for a, b in itertools.combinations(reps, 2))
+    if n == 3:
+        return hasse == _symbol_squarefree(-1, -det, v)
+    return not (is_local_square(det, v) and hasse == -_symbol_squarefree(-1, -1, v))
+
+
+def _isotropic(classes: Sequence[_Class]) -> bool:
+    """Hasse-Minkowski on the entries' square classes, dimension >= 3."""
+    reps = [s for s, _ in classes]
+    return all(_isotropic_at(reps, v) for v in _places_over(p for c in classes for p in c[1]))
+
+
 def is_isotropic_local(form: DiagonalForm, v: Place) -> bool:
     """Whether the form has a nontrivial zero over the completion at v."""
-    n = form.dim
-    if v.is_real:
-        return any(x < 0 for x in form) and any(x > 0 for x in form)
-    if n == 1:
-        return False
-    if n == 2:
-        return is_local_square(-form.entries[0] * form.entries[1], v)
-    det = form.determinant()
-    if n == 3:
-        return hasse_invariant(form, v) == hilbert_symbol(-1, -det, v)
-    if n == 4:
-        return not (
-            is_local_square(det, v)
-            and hasse_invariant(form, v) == -hilbert_symbol(-1, -1, v)
-        )
-    return True
+    return _isotropic_at([_square_class(x)[0] for x in form], v)
 
 
 def is_isotropic(form: DiagonalForm) -> bool:
@@ -96,7 +125,7 @@ def is_isotropic(form: DiagonalForm) -> bool:
         return False
     if n == 2:
         return is_square(-form.entries[0] * form.entries[1]) is not None
-    return all(is_isotropic_local(form, v) for v in support_places(form))
+    return _isotropic([_square_class(x) for x in form])
 
 
 def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
@@ -129,10 +158,10 @@ def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
     return r
 
 
-def _sqrt_mod_squarefree(a: int, m: int) -> int:
-    """A square root of a modulo squarefree m >= 2, assembled prime by prime."""
+def _sqrt_mod_squarefree(a: int, primes: Sequence[int]) -> int:
+    """A square root of a modulo a product of distinct primes, prime by prime."""
     r, mod = 0, 1
-    for p, _ in factor(m).factors:
+    for p in primes:
         rp = _sqrt_mod_prime(a, p)
         if rp is None:
             raise RuntimeError(f"{a} has no square root mod {p} during the descent")
@@ -142,13 +171,14 @@ def _sqrt_mod_squarefree(a: int, m: int) -> int:
     return r % mod
 
 
-def _descend(a: int, c: int) -> tuple[Fraction, Fraction]:
-    """Solve x^2 - a*y^2 = c for squarefree integers a, c, assuming solvability.
+def _descend(a_class: _Class, c_class: _Class) -> tuple[Fraction, Fraction]:
+    """Solve x^2 - a*y^2 = c for square classes a, c, assuming solvability.
 
     Classical Lagrange descent: replace c by c' = (t^2 - a)/c for a centered
     square root t of a mod |c|, strip the square part of c', and recurse;
     |c| strictly decreases, so this terminates.
     """
+    (a, _), (c, c_primes) = a_class, c_class
     if a == 1:
         return Fraction(c + 1, 2), Fraction(c - 1, 2)
     if c == 1:
@@ -157,22 +187,22 @@ def _descend(a: int, c: int) -> tuple[Fraction, Fraction]:
         raise RuntimeError("x^2 + y^2 = -1 reached the descent; inputs were not prechecked")
     if a == c:
         # a | x is forced, and the equation becomes u^2 - a*v^2 = -1.
-        u, v = _descend(a, -1)
+        u, v = _descend(a_class, (-1, []))
         return a * v, u
     if abs(a) > abs(c):
-        s, t = _descend(c, a)
+        s, t = _descend(c_class, a_class)
         # t = 0 would force a to be a square, excluded above.
         return s / t, 1 / t
-    t = _sqrt_mod_squarefree(a, abs(c))
+    t = _sqrt_mod_squarefree(a, c_primes)
     if t > abs(c) // 2:
         t -= abs(c)
     c_next, rem = divmod(t * t - a, c)
     if rem != 0:
         raise RuntimeError("descent invariant broken: c does not divide t^2 - a")
     # c_next != 0 since a is not a square; strip its square part.
-    c2, u = squarefree_part(c_next)
-    x1, y1 = _descend(a, c2)
-    den = c2 * u
+    c2, c2_primes = _square_class(c_next)
+    x1, y1 = _descend(a_class, (c2, c2_primes))
+    den = c2 * math.isqrt(c_next // c2)
     return (t * x1 - a * y1) / den, (x1 - t * y1) / den
 
 
@@ -185,6 +215,7 @@ def solve_conic(
     is written down directly; otherwise solvability is decided by Hilbert
     symbols at the real place, 2, and the odd primes of the squarefree parts,
     and a solution is produced by descent on squarefree representatives.
+    alpha and c are factored once and their classes carried through the descent.
     """
     alpha = as_fraction(alpha)
     c = as_fraction(c)
@@ -194,12 +225,11 @@ def solve_conic(
     if root is not None:
         x, y = (c + 1) / 2, (c - 1) / (2 * root)
         return x, y
-    for v in support_places((alpha, c)):
-        if hilbert_symbol(alpha, c, v) == -1:
-            return None
-    sa, ta = squarefree_part(alpha)  # alpha = sa * ta^2
-    sc, tc = squarefree_part(c)
-    x, y = _descend(sa, sc)
+    a_class, c_class = _square_class(alpha), _square_class(c)
+    if not _symbols_trivial(a_class, c_class):
+        return None
+    ta, tc = is_square(alpha / a_class[0]), is_square(c / c_class[0])  # alpha = s * ta^2
+    x, y = _descend(a_class, c_class)
     x, y = x * tc, y * tc / ta
     if x * x - alpha * y * y != c:
         raise RuntimeError("conic descent produced an incorrect solution")

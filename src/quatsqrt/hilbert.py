@@ -8,9 +8,10 @@ parts; at 2 from the residues (u-1)/2 and (u^2-1)/8.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
-from .places import REAL, Place
+from .places import Place, _places_over
 from .rationals import RationalLike, as_fraction, factor, squarefree_part
 
 
@@ -86,14 +87,9 @@ def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
     the finite product equals the product over all places. Always true;
     exposed as a check so it can be exercised at scale.
     """
-    a = as_fraction(a)
-    b = as_fraction(b)
-    sa, _ = squarefree_part(a)
-    sb, _ = squarefree_part(b)
-    primes = {2}
-    primes.update(p for p, _ in factor(a).factors)
-    primes.update(p for p, _ in factor(b).factors)
-    total = _symbol_squarefree(sa, sb, REAL)
-    for p in sorted(primes):
-        total *= _symbol_squarefree(sa, sb, Place.finite(p))
+    fa, fb = factor(a), factor(b)
+    sa = fa.sign * math.prod(p for p, e in fa.factors if e % 2)
+    sb = fb.sign * math.prod(p for p, e in fb.factors if e % 2)
+    primes = {p for p, _ in fa.factors + fb.factors}
+    total = math.prod(_symbol_squarefree(sa, sb, v) for v in _places_over(primes))
     return total == 1

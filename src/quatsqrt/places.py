@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .rationals import RationalLike, as_fraction, factor, is_prime, squarefree_part
+from .rationals import RationalLike, as_fraction, factor, is_prime
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,9 @@ def support_places(values: Iterable[RationalLike]) -> list[Place]:
     Outside this list every Hilbert symbol built from the values is +1, so
     local checks over it decide global questions.
     """
-    primes = {2}
-    for q in values:
-        s, _ = squarefree_part(q)
-        primes.update(p for p, _ in factor(s).factors)
-    return [REAL] + [Place.finite(p) for p in sorted(primes)]
+    return _places_over(p for q in values for p, e in factor(q).factors if e % 2)
+
+
+def _places_over(primes: Iterable[int]) -> list[Place]:
+    """The real place, 2, and the given primes, in ascending order."""
+    return [REAL] + [Place.finite(p) for p in sorted({2, *primes})]

@@ -13,9 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .forms import DiagonalForm, is_isotropic, isotropic_to_universal, solve_conic
-from .hilbert import hilbert_symbol
-from .places import support_places
+from .forms import DiagonalForm, _square_class, _symbols_trivial, is_isotropic
+from .forms import isotropic_to_universal, solve_conic
 from .rationals import RationalLike, as_fraction, is_square
 from .sqclasses import _common_value
 
@@ -62,10 +61,7 @@ class QuaternionAlgebra:
     @cached_property
     def _split(self) -> bool:
         by_form = is_isotropic(self.pure_norm_form())
-        by_symbols = all(
-            hilbert_symbol(self.alpha, self.beta, v) == 1
-            for v in support_places((self.alpha, self.beta))
-        )
+        by_symbols = _symbols_trivial(_square_class(self.alpha), _square_class(self.beta))
         if by_form != by_symbols:
             raise RuntimeError("the two splitness criteria disagree")
         return by_form

@@ -20,9 +20,9 @@ _TRIAL_BOUND = 10_000
 
 # Miller-Rabin to the first k prime bases is deterministic for n < psi_k, the
 # smallest strong pseudoprime to all of them (Jaeschke 1993; Sorenson-Webster
-# 2017). Below psi_13 ~ 3.317e24 is_prime is exact; above it, it is a strong
-# probable-prime test to the 13 bases.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# 2017). Below psi_13 ~ 3.317e24 is_prime is exact; from it on, it is a strong
+# probable-prime test to the 14 bases to 43, which psi_13 itself fails.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _MR_PSI = (
     2047,
     1373653,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .forms import DiagonalForm, is_isotropic, represents
+from .forms import DiagonalForm, _isotropic, _square_class, _times, represents
 from .hilbert import _symbol_squarefree
-from .places import REAL, Place, iter_primes, support_places
+from .places import _places_over, iter_primes
 from .rationals import RationalLike, as_fraction, factor, is_prime, is_square, squarefree_part
 
 _PRIME_APPEND_CAP = 64
@@ -185,20 +185,17 @@ def _common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[_Certified]:
         return _certified(xi, zeta, z0)
     if is_square(-z0 * z1) is not None:
         return _certified(xi, zeta, x0)
-    if not is_isotropic(DiagonalForm((x0, x1, -z0, -z1))):
+    (sx0, px0), (sx1, px1), (sz0, pz0), (sz1, pz1) = map(_square_class, (x0, x1, z0, z1))
+    if not _isotropic([(sx0, px0), (sx1, px1), (-sz0, pz0), (-sz1, pz1)]):
         return None
-    prime_list = sorted(
-        v.prime for v in support_places((x0, x1, z0, z1)) if not v.is_real
-    )
+    prime_list = sorted({2, *px0, *px1, *pz0, *pz1})
     # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree
     # parts stand for the six classes read, so no round factors anything.
-    sx, sx0, sx1, sz, sz0, sz1 = (
-        squarefree_part(q)[0] for q in (-x0 * x1, x0, x1, -z0 * z1, z0, z1)
-    )
+    sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
     for _ in range(_PRIME_APPEND_CAP):
         # Columns: the basis (-1, p_1, ..., p_s) of classes singular at the primes.
         reps = [-1] + prime_list
-        places = [REAL] + [Place.finite(p) for p in prime_list]
+        places = _places_over(prime_list)
         rows: list[int] = []
         rhs: list[int] = []
         for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1)):

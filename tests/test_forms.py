@@ -1,11 +1,13 @@
 """Diagonal forms: isotropy against brute-force search, exact conic solutions."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quatsqrt.forms as forms_module
 from quatsqrt.forms import (
     DiagonalForm,
     _sqrt_mod_prime,
@@ -16,8 +18,8 @@ from quatsqrt.forms import (
     represents,
     solve_conic,
 )
-from quatsqrt.hilbert import hilbert_symbol
-from quatsqrt.places import REAL, Place, support_places
+from quatsqrt.hilbert import hasse_invariant, hilbert_symbol
+from quatsqrt.places import REAL, Place, is_local_square, support_places
 from quatsqrt.rationals import is_square
 
 from oracles import diagonal_zero_search, ternary_zero_search
@@ -26,6 +28,9 @@ nonzero_rationals = st.fractions(
     min_value=-60, max_value=60, max_denominator=20
 ).filter(lambda q: q != 0)
 nonzero_small = st.integers(min_value=-30, max_value=30).filter(lambda n: n != 0)
+wide_rationals = st.fractions(
+    min_value=-10**6, max_value=10**6, max_denominator=10**3
+).filter(lambda q: q != 0)
 
 
 def ternary_forms():
@@ -111,6 +116,31 @@ class TestGlobalIsotropy:
         local = all(is_isotropic_local(form, v) for v in support_places(form))
         assert local == is_isotropic(form)
 
+    @given(st.lists(nonzero_rationals, min_size=2, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_local_matches_the_textbook_formula(self, entries):
+        form = DiagonalForm(tuple(entries))
+        for v in support_places(form) + [Place.finite(p) for p in (3, 5, 7)]:
+            assert is_isotropic_local(form, v) == textbook_isotropic_local(form, v)
+
+
+def textbook_isotropic_local(form, v):
+    """Local isotropy by the classical criteria (Serre, Ch. IV) on the public
+    symbols, computed from the entries as given."""
+    if v.is_real:
+        return any(x < 0 for x in form) and any(x > 0 for x in form)
+    n, det = form.dim, form.determinant()
+    if n == 2:
+        return is_local_square(-det, v)
+    if n == 3:
+        return hasse_invariant(form, v) == hilbert_symbol(-1, -det, v)
+    if n == 4:
+        return not (
+            is_local_square(det, v)
+            and hasse_invariant(form, v) == -hilbert_symbol(-1, -1, v)
+        )
+    return True
+
 
 class TestSqrtModPrime:
     @given(st.sampled_from((3, 5, 7, 11, 13, 10007)), st.integers(0, 10**6))
@@ -153,6 +183,14 @@ class TestSolveConic:
                 hilbert_symbol(alpha, c, v) == 1 for v in support_places((alpha, c))
             )
 
+    @given(wide_rationals, wide_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_none_iff_a_symbol_obstructs(self, alpha, c):
+        obstructed = any(
+            hilbert_symbol(alpha, c, v) == -1 for v in support_places((alpha, c))
+        )
+        assert (solve_conic(alpha, c) is None) == obstructed
+
     @given(nonzero_rationals, nonzero_rationals)
     @settings(max_examples=30)
     def test_deterministic(self, alpha, c):
@@ -163,6 +201,66 @@ class TestSolveConic:
             for c in (Fraction(7), Fraction(-5, 3), Fraction(1)):
                 x, y = solve_conic(alpha, c)
                 assert x * x - alpha * y * y == c
+
+
+class TestFactorOnce:
+    """One call factors each value once: the inputs, then each new value of
+    the descent. Results are pinned as they were before that was so."""
+
+    @pytest.mark.parametrize(
+        "alpha, c, branch, solution",
+        [
+            (2, 8, "a == c", (Fraction(4), Fraction(2))),
+            (13, Fraction(-3, 4), "swap", (Fraction(1, 4), Fraction(1, 4))),
+            (
+                Fraction(-42921, 29),
+                Fraction(4991015585, 14036),
+                "multi-step",
+                (
+                    Fraction(
+                        -5511462209976658405531993523059282,
+                        10141885710228081653939568874159,
+                    ),
+                    Fraction(
+                        129432510793533996859457191221609,
+                        20283771420456163307879137748318,
+                    ),
+                ),
+            ),
+            (Fraction(-7, 3), Fraction(5, 12), "obstructed", None),
+        ],
+    )
+    def test_solve_conic(self, alpha, c, branch, solution, factor_calls, monkeypatch):
+        steps = []
+        descend = forms_module._descend
+
+        def recording(a_class, c_class):
+            steps.append((a_class[0], c_class[0]))
+            return descend(a_class, c_class)
+
+        monkeypatch.setattr(forms_module, "_descend", recording)
+        assert solve_conic(alpha, c) == solution
+        assert max(Counter(factor_calls).values()) == 1
+        assert factor_calls.count(alpha) == factor_calls.count(c) == 1
+        reached = {
+            "a == c": any(a == c for a, c in steps),
+            "swap": any(abs(a) > abs(c) for a, c in steps),
+            # every reduction step factors its new value once
+            "multi-step": len(factor_calls) - 2 >= 10,
+            "obstructed": not steps,
+        }
+        assert reached[branch]
+
+    @pytest.mark.parametrize(
+        "entries, isotropic",
+        [
+            ((Fraction(2, 3), 5, -7, Fraction(-11, 4)), True),
+            ((Fraction(1, 2), 2, -3, -12), False),
+        ],
+    )
+    def test_is_isotropic(self, entries, isotropic, factor_calls):
+        assert is_isotropic(DiagonalForm(entries)) is isotropic
+        assert sorted(factor_calls) == sorted(map(Fraction, entries))
 
 
 class TestIsotropicVector:

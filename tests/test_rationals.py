@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatsqrt.rationals import (
+    _MR_PSI,
     Factorization,
     as_fraction,
     factor,
@@ -20,6 +21,14 @@ from quatsqrt.rationals import (
 nonzero_rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**6
 ).filter(lambda q: q != 0)
+
+
+def near_psi(limit):
+    """Integers within 10^4 of each psi_k below limit: psi_k is the least
+    strong pseudoprime to the first k prime bases, where a missing
+    Miller-Rabin base would first show."""
+    psis = [psi for psi in _MR_PSI if psi < limit]
+    return st.sampled_from(psis).flatmap(lambda psi: st.integers(max(1, psi - 10**4), psi + 10**4))
 
 
 class TestParsing:
@@ -84,6 +93,16 @@ class TestIsPrime:
         # smallest strong pseudoprime to the first k prime bases.
         assert not is_prime(psi)
 
+    def test_psi_13_fails_the_fourteenth_base(self):
+        # psi_13 is a strong pseudoprime to all thirteen prime bases 2..41.
+        assert not is_prime(3317044064679887385961981)
+
+    @given(st.one_of(near_psi(10**25), st.integers(-10, 10**24)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(n) == sympy.isprime(n)
+
 
 class TestFactor:
     def test_strong_pseudoprime_factor(self):
@@ -120,6 +139,14 @@ class TestFactor:
         assert primes == sorted(primes)
         assert len(set(primes)) == len(primes)
         assert all(e != 0 for _, e in f.factors)
+
+    # Not near psi_12 and psi_13: splitting two 12- or 13-digit primes takes
+    # Pollard rho about a second; the primality they rest on is tested above.
+    @given(st.one_of(near_psi(10**20), st.integers(1, 10**18)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert dict(factor(n).factors) == sympy.factorint(n)
 
     def test_validation(self):
         with pytest.raises(ValueError):

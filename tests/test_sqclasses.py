@@ -1,5 +1,6 @@
 """Square classes, GF(2) systems, and the common-represented-value search."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from quatsqrt.rationals import factor, is_square
 from quatsqrt.sqclasses import (
     GF2System,
     SquareClass,
+    _common_value,
     common_value,
     singular_basis,
     solve_gf2,
@@ -179,6 +181,25 @@ class TestCommonValue:
         # Values as returned before the search worked on squarefree integers.
         found = common_value(DiagonalForm(xi), DiagonalForm(zeta))
         assert (type(found), found) == (Fraction, d)
+
+    @pytest.mark.parametrize(
+        "xi, zeta, found",
+        [
+            (
+                (Fraction(-11, 2), 3),
+                (-7, -21),
+                (-13, (Fraction(16, 5), Fraction(-19, 5)), (Fraction(-19, 14), Fraction(1, 14))),
+            ),
+            ((13, -11), (-6, -2), (-806, (9, 13), (Fraction(19, 2), Fraction(23, 2)))),
+        ],
+    )
+    def test_factors_each_value_once(self, xi, zeta, found, factor_calls):
+        # The search and both certificate conics included; results as pinned
+        # before the entries' classes were taken once. Each conic's descent
+        # may end at the unit 1, which has nothing to factor.
+        assert _common_value(DiagonalForm(xi), DiagonalForm(zeta)) == found
+        assert max(Counter(q for q in factor_calls if q != 1).values()) == 1
+        assert all(factor_calls.count(q) == 1 for q in xi + zeta)
 
     @given(nonzero_small, nonzero_small, nonzero_small, nonzero_small)
     @settings(max_examples=120, deadline=None)
