@@ -27,6 +27,13 @@ class Place:
     def finite(cls, p: int) -> "Place":
         return cls(p)
 
+    @classmethod
+    def _unchecked(cls, p: int) -> "Place":
+        """The finite place at p, for a p its caller has already proven prime."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "prime", p)
+        return place
+
     @property
     def is_real(self) -> bool:
         return self.prime is None
@@ -48,7 +55,7 @@ def parse_place(text: str) -> Place:
         raise ValueError(f"not a place: {text!r}") from None
     if not is_prime(p):
         raise ValueError(f"not a prime: {text}")
-    return Place.finite(p)
+    return Place._unchecked(p)
 
 
 def valuation(q: RationalLike, p: Union[int, Place]) -> int:
@@ -131,5 +138,8 @@ def support_places(values: Iterable[RationalLike]) -> list[Place]:
 
 
 def _places_over(primes: Iterable[int]) -> list[Place]:
-    """The real place, 2, and the given primes, in ascending order."""
-    return [REAL] + [Place.finite(p) for p in sorted({2, *primes})]
+    """The real place, 2, and the given primes, in ascending order.
+
+    The primes are not tested again: every caller takes them from `factor`.
+    """
+    return [REAL] + [Place._unchecked(p) for p in sorted({2, *primes})]

@@ -185,6 +185,14 @@ class Factorization:
                 raise ValueError(f"not a prime: {p}")
             prev = p
 
+    @classmethod
+    def _unchecked(cls, sign: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
+        """A factorization `factor` has built: its primes are already proven."""
+        fac = object.__new__(cls)
+        object.__setattr__(fac, "sign", sign)
+        object.__setattr__(fac, "factors", factors)
+        return fac
+
     def value(self) -> Fraction:
         out = Fraction(self.sign)
         for p, e in self.factors:
@@ -201,7 +209,7 @@ def factor(q: RationalLike) -> Factorization:
     for p, e in _factor_int(q.denominator).items():
         exps[p] = exps.get(p, 0) - e
     factors = tuple(sorted((p, e) for p, e in exps.items() if e != 0))
-    return Factorization(1 if q > 0 else -1, factors)
+    return Factorization._unchecked(1 if q > 0 else -1, factors)
 
 
 def squarefree_part(q: RationalLike) -> tuple[int, Fraction]:

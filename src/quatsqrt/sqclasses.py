@@ -6,10 +6,25 @@ supported on a finite prime set; representability at each relevant place
 turns into a linear condition over GF(2), and the system is grown by
 appending primes until it becomes solvable. _common_value hands back the
 certificates too, (d, represents(xi, d), represents(zeta, d)), for reuse.
+
+The system is built once over the starting places (the real place, 2 and
+the primes of the entries) and columns (-1 and the starting primes). Each
+row is kept sparse, as the set of columns whose symbol is -1 and its rhs
+bit. An appended prime q adds only its column's entries at the starting
+places: at q itself the discriminants, the rhs entries and every earlier
+column are units, and the Hilbert symbol of two units at an odd prime is +1,
+so q's own row holds just (D, q)_q and rhs 0, and q adds nothing to the rows
+of earlier appended primes. If (D, q)_q = -1 for either discriminant D, that
+row forces q's exponent to 0: q can neither make the system solvable nor
+change the solution Gauss-Jordan picks, so it is skipped without a solve and
+does not count toward the prime-append cap. Columns stay in ascending order,
+so the system picks the same d as one rebuilt from scratch every round.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .forms import DiagonalForm, _isotropic, _square_class, _times, represents
 from .hilbert import _symbol_squarefree
-from .places import _places_over, iter_primes
+from .places import Place, _places_over, iter_primes
 from .rationals import RationalLike, as_fraction, factor, is_prime, is_square, squarefree_part
 
 _PRIME_APPEND_CAP = 64
@@ -144,13 +159,6 @@ def _bit(sym: int) -> int:
     return (1 - sym) // 2
 
 
-def _mask(bits: Iterable[int]) -> int:
-    out = 0
-    for k, b in enumerate(bits):
-        out |= (b & 1) << k
-    return out
-
-
 _Certified = tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
@@ -188,23 +196,38 @@ def _common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[_Certified]:
     (sx0, px0), (sx1, px1), (sz0, pz0), (sz1, pz1) = map(_square_class, (x0, x1, z0, z1))
     if not _isotropic([(sx0, px0), (sx1, px1), (-sz0, pz0), (-sz1, pz1)]):
         return None
-    prime_list = sorted({2, *px0, *px1, *pz0, *pz1})
+    start = sorted({2, *px0, *px1, *pz0, *pz1})
+    places = _places_over(start)
+    columns = [-1, *start]
     # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree
     # parts stand for the six classes read, so no round factors anything.
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
-    for _ in range(_PRIME_APPEND_CAP):
-        # Columns: the basis (-1, p_1, ..., p_s) of classes singular at the primes.
-        reps = [-1] + prime_list
-        places = _places_over(prime_list)
-        rows: list[int] = []
-        rhs: list[int] = []
-        for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1)):
-            for v in places:
-                rows.append(_mask(_bit(_symbol_squarefree(disc, rep, v)) for rep in reps))
-                rhs.append(_bit(_symbol_squarefree(b0, b1, v)))
-        eps = solve_gf2(GF2System(tuple(rows), tuple(rhs), len(reps)))
+    # One row per discriminant and starting place: the columns whose symbol
+    # is -1, and the rhs bit.
+    rows = [
+        (disc, v, {c for c in columns if _symbol_squarefree(disc, c, v) == -1},
+         _bit(_symbol_squarefree(b0, b1, v)))
+        for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1))
+        for v in places
+    ]
+    appended = (q for q in iter_primes() if q not in start)
+    for counted in itertools.count():
+        index = {c: k for k, c in enumerate(columns)}
+        live = [(sum(1 << index[c] for c in neg), b) for _, _, neg, b in rows if neg or b]
+        eps = solve_gf2(GF2System(tuple(m for m, _ in live), tuple(b for _, b in live), len(columns)))
         if eps is not None:
-            return _certified(xi, zeta, math.prod(r for r, e in zip(reps, eps) if e))
-        prime_list.append(next(p for p in iter_primes() if p not in prime_list))
-        prime_list.sort()
-    raise RuntimeError("common-value search exceeded the prime-append cap")
+            return _certified(xi, zeta, math.prod(c for c, e in zip(columns, eps) if e))
+        if counted == _PRIME_APPEND_CAP:
+            raise RuntimeError("common-value search exceeded the prime-append cap")
+        # The discriminants, rhs entries and earlier columns are units at an
+        # appended prime q (odd, outside the starting primes), so every symbol
+        # among them at q is +1. Only (D, q)_q is left: -1 forces eps_q = 0 and
+        # q is skipped; otherwise q's own rows are zero with rhs 0, left out.
+        q = next(
+            q for q in appended
+            if all(_symbol_squarefree(disc, q, Place._unchecked(q)) == 1 for disc in (sx, sz))
+        )
+        for disc, v, neg, _ in rows:
+            if _symbol_squarefree(disc, q, v) == -1:
+                neg.add(q)
+        bisect.insort(columns, q)

@@ -5,14 +5,27 @@ replays them after the run so they stay visible despite output capture.
 The factor_calls fixture records every argument handed to `factor`.
 """
 
+import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import quatsqrt.rationals as rationals
 
 acceptance_lines = []
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def package_on_subprocess_path():
+    """Let `python -m quatsqrt.cli` subprocesses import this checkout's package,
+    as pyproject's `pythonpath` does for the suite itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture

@@ -100,6 +100,12 @@ class TestSubcommands:
             '{"status":"empty_intersection"}',
         )
 
+    def test_common_value_past_the_old_cap(self):
+        argv = ("common-value", "--xi", "1463/5,-237/2", "--zeta", "303/23,-1116")
+        assert invoke(*argv) == (0, '{"status":"ok","d":"420690"}')
+        proc = run_subprocess(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"status":"ok","d":"420690"}\n', "")
+
     def test_sqrt_with_fractions(self):
         code, out = invoke(
             "sqrt", "--alpha", "-1", "--beta", "-1", "--q", "-1/2,1/2,1/2,1/2"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quatsqrt.places as places
 from quatsqrt.places import (
     REAL,
     Place,
@@ -154,3 +155,14 @@ class TestSupportPlaces:
             Place.finite(5),
             Place.finite(7),
         ]
+
+    def test_primes_from_factor_not_tested_again(self, monkeypatch):
+        expected = [REAL] + [Place.finite(p) for p in (2, 3, 5, 7)]
+        calls = []
+        monkeypatch.setattr(places, "is_prime", lambda n: calls.append(n) or True)
+        assert support_places([Fraction(3, 5), Fraction(7)]) == expected
+        assert calls == []
+        # The public constructors still test
+        Place.finite(11)
+        parse_place("13")
+        assert calls == [11, 13]

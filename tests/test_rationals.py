@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quatsqrt.rationals as rationals
 from quatsqrt.rationals import (
     _MR_PSI,
     Factorization,
@@ -147,6 +148,16 @@ class TestFactor:
     def test_matches_sympy(self, n):
         sympy = pytest.importorskip("sympy")
         assert dict(factor(n).factors) == sympy.factorint(n)
+
+    def test_proven_primes_not_tested_again(self, monkeypatch):
+        calls = []
+        original = rationals.is_prime
+        monkeypatch.setattr(rationals, "is_prime", lambda n: calls.append(n) or original(n))
+        # trial division proves the small primes; rho's cofactors are tested once
+        assert factor(30030 * 10007 * 10009).factors == (
+            (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (10007, 1), (10009, 1)
+        )
+        assert sorted(calls) == [10007, 10009, 10007 * 10009]
 
     def test_validation(self):
         with pytest.raises(ValueError):

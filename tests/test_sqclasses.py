@@ -1,17 +1,23 @@
 """Square classes, GF(2) systems, and the common-represented-value search."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quatsqrt.forms import DiagonalForm, is_isotropic, represents
+import quatsqrt.sqclasses as sqclasses
+from quatsqrt.forms import DiagonalForm, _isotropic, _square_class, _times, is_isotropic, represents
+from quatsqrt.hilbert import _symbol_squarefree
+from quatsqrt.places import _places_over, iter_primes
 from quatsqrt.rationals import factor, is_square
 from quatsqrt.sqclasses import (
+    _PRIME_APPEND_CAP,
     GF2System,
     SquareClass,
+    _certified,
     _common_value,
     common_value,
     singular_basis,
@@ -19,6 +25,54 @@ from quatsqrt.sqclasses import (
 )
 
 nonzero_small = st.integers(min_value=-15, max_value=15).filter(lambda n: n != 0)
+fractions_to_1e4 = st.builds(
+    Fraction, st.integers(-(10**4), 10**4).filter(lambda n: n != 0), st.integers(1, 50)
+)
+
+# Needs more than 64 appended primes, of which only a few can change solvability.
+CAP_PAIR = ((Fraction(1463, 5), Fraction(-237, 2)), (Fraction(303, 23), -1116))
+
+PINNED_PAIRS = [
+    ((13, -11), (-6, -2)),
+    ((3, 1), (11, 10)),
+    ((5, -3), (-7, 2)),
+    ((Fraction(-7, 3), 1), (-1, -1)),
+    ((Fraction(-11, 2), 3), (-7, -21)),
+    ((1, 2), (3, 5)),
+    ((-3, -5), (-2, -7)),
+    ((1, 1), (7, 11)),
+]
+
+
+def dense_common_value(xi, zeta, cap=400):
+    """Reference search that rebuilds the whole GF(2) system every round:
+    every row over every place and every column, appended primes included,
+    with every appended prime counted toward the cap."""
+    x0, x1 = xi.entries
+    z0, z1 = zeta.entries
+    if is_square(-x0 * x1) is not None:
+        return _certified(xi, zeta, z0)
+    if is_square(-z0 * z1) is not None:
+        return _certified(xi, zeta, x0)
+    (sx0, px0), (sx1, px1), (sz0, pz0), (sz1, pz1) = map(_square_class, (x0, x1, z0, z1))
+    if not _isotropic([(sx0, px0), (sx1, px1), (-sz0, pz0), (-sz1, pz1)]):
+        return None
+    prime_list = sorted({2, *px0, *px1, *pz0, *pz1})
+    sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
+    for _ in range(cap):
+        reps = [-1] + prime_list
+        rows, rhs = [], []
+        for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1)):
+            for v in _places_over(prime_list):
+                bits = ((1 - _symbol_squarefree(disc, rep, v)) // 2 for rep in reps)
+                rows.append(sum(b << k for k, b in enumerate(bits)))
+                rhs.append((1 - _symbol_squarefree(b0, b1, v)) // 2)
+        eps = solve_gf2(GF2System(tuple(rows), tuple(rhs), len(reps)))
+        if eps is not None:
+            return _certified(xi, zeta, math.prod(r for r, e in zip(reps, eps) if e))
+        prime_list.append(next(p for p in iter_primes() if p not in prime_list))
+        prime_list.sort()
+    raise RuntimeError("reference search exceeded its cap")
 
 
 class TestSquareClass:
@@ -163,6 +217,59 @@ class TestCommonValue:
             assert d is not None
             assert represents(xi, d) is not None
             assert represents(zeta, d) is not None
+
+    def test_no_false_failure_at_the_cap(self):
+        # Past 64 appended primes, but few of them can change solvability.
+        xi, zeta = map(DiagonalForm, CAP_PAIR)
+        assert _common_value(xi, zeta) == (
+            420690,
+            (Fraction(-2149453574070, 14409037319), Fraction(-3266648080670, 14409037319)),
+            (
+                Fraction(-55801235397320752763, 100767150724590601),
+                Fraction(11476787357920910819, 201534301449181202),
+            ),
+        )
+        assert common_value(xi, zeta) == 420690 == 2 * 3 * 5 * 37 * 379
+
+    @pytest.mark.parametrize("xi, zeta", PINNED_PAIRS + [CAP_PAIR])
+    def test_matches_dense_reference(self, xi, zeta):
+        xi, zeta = DiagonalForm(xi), DiagonalForm(zeta)
+        assert _common_value(xi, zeta) == dense_common_value(xi, zeta)
+
+    @given(fractions_to_1e4, fractions_to_1e4, fractions_to_1e4, fractions_to_1e4)
+    # an appended prime below a starting one: its column goes in the middle
+    @example(Fraction(-1, 3), Fraction(6), Fraction(-11, 10), Fraction(-178, 13))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_reference_random(self, x0, x1, z0, z1):
+        xi, zeta = DiagonalForm((x0, x1)), DiagonalForm((z0, z1))
+        assert _common_value(xi, zeta) == dense_common_value(xi, zeta)
+
+    @pytest.mark.parametrize("xi, zeta", [CAP_PAIR, ((13, -11), (-6, -2))])
+    def test_appended_prime_adds_one_column(self, xi, zeta, monkeypatch):
+        symbols, solves = [], []
+
+        def counting_symbol(a, b, v):
+            sym = _symbol_squarefree(a, b, v)
+            symbols.append((b, v, sym))
+            return sym
+
+        def counting_solve(system):
+            solves.append(system)
+            return solve_gf2(system)
+
+        monkeypatch.setattr(sqclasses, "_symbol_squarefree", counting_symbol)
+        monkeypatch.setattr(sqclasses, "solve_gf2", counting_solve)
+        assert _common_value(DiagonalForm(xi), DiagonalForm(zeta)) is not None
+        start = {2} | {p for x in xi + zeta for p, e in factor(x).factors if e % 2}
+        # An appended prime q shows as its own place in the diagonal (D, q)_q.
+        diagonal = [(b, sym) for b, v, sym in symbols if b == v.prime and b not in start]
+        appended = {q for q, _ in diagonal}
+        counted = appended - {q for q, sym in diagonal if sym == -1}
+        per_prime = Counter(b for b, _, _ in symbols if b in appended)
+        assert max(per_prime.values()) <= 2 * (len(start) + 1 + 1)
+        assert len(solves) <= len(counted) + 1
+        if (xi, zeta) == CAP_PAIR:
+            assert len(counted) < _PRIME_APPEND_CAP < len(appended)
 
     @pytest.mark.parametrize(
         "xi, zeta, d",
