@@ -138,8 +138,5 @@ def support_places(values: Iterable[RationalLike]) -> list[Place]:
 
 
 def _places_over(primes: Iterable[int]) -> list[Place]:
-    """The real place, 2, and the given primes, in ascending order.
-
-    The primes are not tested again: every caller takes them from `factor`.
-    """
+    """The real place, 2, and the given primes (proven by `factor`), ascending."""
     return [REAL] + [Place._unchecked(p) for p in sorted({2, *primes})]

@@ -7,18 +7,15 @@ turns into a linear condition over GF(2), and the system is grown by
 appending primes until it becomes solvable. _common_value hands back the
 certificates too, (d, represents(xi, d), represents(zeta, d)), for reuse.
 
-The system is built once over the starting places (the real place, 2 and
-the primes of the entries) and columns (-1 and the starting primes). Each
-row is kept sparse, as the set of columns whose symbol is -1 and its rhs
-bit. An appended prime q adds only its column's entries at the starting
-places: at q itself the discriminants, the rhs entries and every earlier
-column are units, and the Hilbert symbol of two units at an odd prime is +1,
-so q's own row holds just (D, q)_q and rhs 0, and q adds nothing to the rows
-of earlier appended primes. If (D, q)_q = -1 for either discriminant D, that
-row forces q's exponent to 0: q can neither make the system solvable nor
-change the solution Gauss-Jordan picks, so it is skipped without a solve and
-does not count toward the prime-append cap. Columns stay in ascending order,
-so the system picks the same d as one rebuilt from scratch every round.
+The system is built once over the starting places (real, 2, the entries'
+primes) and columns (-1, the starting primes), each row kept sparse as the
+set of columns whose symbol is -1 plus its rhs bit. An appended prime q adds
+only its column's entries at the starting places: everything else at q is a
+symbol of two units, +1, so q's own row is (D, q)_q with rhs 0. If that is
+-1 for either discriminant D, q's exponent is forced to 0 and q can change
+neither solvability nor the solution, so it is skipped without a solve and
+not counted toward the prime-append cap. Columns stay ascending, so
+Gauss-Jordan picks the d a system rebuilt every round would pick.
 """
 
 from __future__ import annotations
@@ -219,10 +216,9 @@ def _common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[_Certified]:
             return _certified(xi, zeta, math.prod(c for c, e in zip(columns, eps) if e))
         if counted == _PRIME_APPEND_CAP:
             raise RuntimeError("common-value search exceeded the prime-append cap")
-        # The discriminants, rhs entries and earlier columns are units at an
-        # appended prime q (odd, outside the starting primes), so every symbol
-        # among them at q is +1. Only (D, q)_q is left: -1 forces eps_q = 0 and
-        # q is skipped; otherwise q's own rows are zero with rhs 0, left out.
+        # q is odd and outside the starting primes, so the discriminants, rhs
+        # entries and earlier columns are all units at q: their symbols at q
+        # are +1. Of q's own row only (D, q)_q is left; -1 forces eps_q = 0.
         q = next(
             q for q in appended
             if all(_symbol_squarefree(disc, q, Place._unchecked(q)) == 1 for disc in (sx, sz))
