@@ -4,24 +4,23 @@ The computational core is solve_conic, a Lagrange-style descent for
 x^2 - alpha*y^2 = c that either returns an exact rational solution or
 proves there is none via local (Hilbert symbol) obstructions.
 
-Each value is factored once, and its square class (s, primes of s), with s
-squarefree and value = s*t^2, is carried to every local test and descent step.
+Each value is factored once by `rationals._square_class`, and its square
+class (s, primes of s), with s squarefree and value = s*t^2, is carried to
+every local test and descent step.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .hilbert import _symbol_squarefree
+from .hilbert import _hasse, _symbol_squarefree, _symbols_trivial
 from .places import Place, _places_over, is_local_square
-from .rationals import RationalLike, as_fraction, factor, is_square
+from .rationals import RationalLike, _Class, _square_class, _times, as_fraction, is_square
 
-_Class = tuple[int, list[int]]  # (s, primes of s) for a squarefree integer s
 Vector = tuple[Fraction, ...]
 
 
@@ -70,23 +69,6 @@ class DiagonalForm:
         return out
 
 
-def _square_class(q: RationalLike) -> _Class:
-    """(s, primes of s) for the squarefree integer s with q = s * t^2."""
-    fac = factor(q)
-    primes = [p for p, e in fac.factors if e % 2]
-    return fac.sign * math.prod(primes), primes
-
-
-def _times(a: int, b: int) -> int:
-    """The squarefree integer in the class of a*b, for squarefree a and b."""
-    return a * b // math.gcd(a, b) ** 2
-
-
-def _symbols_trivial(a: _Class, b: _Class) -> bool:
-    """Whether the Hilbert symbol of two square classes is +1 at every place."""
-    return all(_symbol_squarefree(a[0], b[0], v) == 1 for v in _places_over(a[1] + b[1]))
-
-
 def _isotropic_at(reps: Sequence[int], v: Place) -> bool:
     """Local isotropy at v of a diagonal form given by its entries' classes."""
     n, det = len(reps), functools.reduce(_times, reps)
@@ -96,7 +78,7 @@ def _isotropic_at(reps: Sequence[int], v: Place) -> bool:
         return n == 2 and is_local_square(-det, v)
     if n >= 5:
         return True
-    hasse = math.prod(_symbol_squarefree(a, b, v) for a, b in itertools.combinations(reps, 2))
+    hasse = _hasse(reps, v)
     if n == 3:
         return hasse == _symbol_squarefree(-1, -det, v)
     return not (is_local_square(det, v) and hasse == -_symbol_squarefree(-1, -1, v))

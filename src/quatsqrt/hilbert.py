@@ -8,11 +8,12 @@ parts; at 2 from the residues (u-1)/2 and (u^2-1)/8.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .places import Place, _places_over
-from .rationals import RationalLike, as_fraction, factor, squarefree_part
+from .rationals import RationalLike, _Class, _square_class, as_fraction, factor
 
 
 def _eps(u: int) -> int:
@@ -54,6 +55,16 @@ def _symbol_squarefree(sa: int, sb: int, v: Place) -> int:
     return sym
 
 
+def _symbols_trivial(a: _Class, b: _Class) -> bool:
+    """Whether the Hilbert symbol of two square classes is +1 at every place."""
+    return all(_symbol_squarefree(a[0], b[0], v) == 1 for v in _places_over(a[1] + b[1]))
+
+
+def _hasse(reps: Sequence[int], v: Place) -> int:
+    """prod_{i<j} (s_i, s_j)_v over squarefree representatives s_i."""
+    return math.prod(_symbol_squarefree(a, b, v) for a, b in itertools.combinations(reps, 2))
+
+
 def hilbert_symbol(a: RationalLike, b: RationalLike, v: Place) -> int:
     """(a, b)_v: +1 when z^2 = a*x^2 + b*y^2 has a nontrivial zero over the
     completion at v, -1 otherwise."""
@@ -61,9 +72,7 @@ def hilbert_symbol(a: RationalLike, b: RationalLike, v: Place) -> int:
     b = as_fraction(b)
     if a == 0 or b == 0:
         raise ValueError("the Hilbert symbol needs nonzero arguments")
-    sa, _ = squarefree_part(a)
-    sb, _ = squarefree_part(b)
-    return _symbol_squarefree(sa, sb, v)
+    return _symbol_squarefree(_square_class(a)[0], _square_class(b)[0], v)
 
 
 def hasse_invariant(form: Iterable[RationalLike], v: Place) -> int:
@@ -71,12 +80,7 @@ def hasse_invariant(form: Iterable[RationalLike], v: Place) -> int:
     entries = [as_fraction(x) for x in form]
     if any(x == 0 for x in entries):
         raise ValueError("diagonal entries must be nonzero")
-    reduced = [squarefree_part(x)[0] for x in entries]
-    sym = 1
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            sym *= _symbol_squarefree(reduced[i], reduced[j], v)
-    return sym
+    return _hasse([_square_class(x)[0] for x in entries], v)
 
 
 def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .rationals import RationalLike, as_fraction, factor, is_prime
+from .rationals import RationalLike, _square_class, as_fraction, is_prime
 
 
 @dataclass(frozen=True)
@@ -58,27 +58,27 @@ def parse_place(text: str) -> Place:
     return Place._unchecked(p)
 
 
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(k, m) with n = p**k * m and p not dividing m, for nonzero n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k, n
+
+
 def valuation(q: RationalLike, p: Union[int, Place]) -> int:
     """p-adic valuation of a nonzero rational; negative when p divides the denominator."""
     if isinstance(p, Place):
         if p.is_real:
             raise ValueError("valuation needs a finite place")
         p = p.prime
+    if p < 2:
+        raise ValueError(f"valuation needs p >= 2, got {p}")
     q = as_fraction(q)
     if q == 0:
         raise ValueError("valuation of zero is undefined")
-    n = abs(q.numerator)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    if v:
-        return v
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _strip(q.numerator, p)[0] - _strip(q.denominator, p)[0]
 
 
 def sign_at_real(q: RationalLike) -> int:
@@ -101,13 +101,10 @@ def is_local_square(q: RationalLike, v: Place) -> bool:
     if v.is_real:
         return q > 0
     p = v.prime
-    if valuation(q, p) % 2:
+    vn, n = _strip(q.numerator, p)
+    vd, d = _strip(q.denominator, p)
+    if (vn - vd) % 2:
         return False
-    n, d = q.numerator, q.denominator
-    while n % p == 0:
-        n //= p
-    while d % p == 0:
-        d //= p
     # n/d and n*d differ by the square d**2, so they share a square class.
     u = n * d
     if p == 2:
@@ -134,7 +131,7 @@ def support_places(values: Iterable[RationalLike]) -> list[Place]:
     Outside this list every Hilbert symbol built from the values is +1, so
     local checks over it decide global questions.
     """
-    return _places_over(p for q in values for p, e in factor(q).factors if e % 2)
+    return _places_over(p for q in values for p in _square_class(q)[1])
 
 
 def _places_over(primes: Iterable[int]) -> list[Place]:

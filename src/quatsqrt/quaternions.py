@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .forms import DiagonalForm, _square_class, _symbols_trivial, is_isotropic
-from .forms import isotropic_to_universal, solve_conic
-from .rationals import RationalLike, as_fraction, is_square
+from .forms import DiagonalForm, is_isotropic, isotropic_to_universal, solve_conic
+from .hilbert import _symbols_trivial
+from .rationals import RationalLike, _square_class, as_fraction, is_square
 from .sqclasses import _common_value
 
 
@@ -116,6 +116,8 @@ class Quaternion:
         return self.q0 == 0
 
     def _same_algebra(self, other: "Quaternion") -> None:
+        if not isinstance(other, Quaternion):
+            raise TypeError(f"expected a Quaternion, got {type(other).__name__}")
         if self.algebra != other.algebra:
             raise ValueError("operands live in different quaternion algebras")
 
@@ -137,7 +139,7 @@ class Quaternion:
         return Quaternion(self.algebra, -self.q0, -self.q1, -self.q2, -self.q3)
 
     def __mul__(self, other: Union["Quaternion", int, Fraction]) -> "Quaternion":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Quaternion):
             c = as_fraction(other)
             return Quaternion(
                 self.algebra, c * self.q0, c * self.q1, c * self.q2, c * self.q3

@@ -212,19 +212,31 @@ def factor(q: RationalLike) -> Factorization:
     return Factorization._unchecked(1 if q > 0 else -1, factors)
 
 
+_Class = tuple[int, list[int]]  # (s, primes of s) for a squarefree integer s
+
+
+def _square_class(q: RationalLike) -> _Class:
+    """(s, primes of s) for the squarefree integer s with q = s * t^2.
+
+    Every square class in the package is read off one `factor` call here.
+    """
+    fac = factor(q)
+    primes = [p for p, e in fac.factors if e % 2]
+    return fac.sign * math.prod(primes), primes
+
+
+def _times(a: int, b: int) -> int:
+    """The squarefree integer in the class of a*b, for squarefree a and b."""
+    return a * b // math.gcd(a, b) ** 2
+
+
 def squarefree_part(q: RationalLike) -> tuple[int, Fraction]:
     """Write q = s * t**2 with s a squarefree integer of the same sign.
 
     Returns (s, t) with t > 0. The square class of q is determined by s.
     """
-    fac = factor(q)
-    s = fac.sign
-    t = Fraction(1)
-    for p, e in fac.factors:
-        if e % 2:
-            s *= p
-        t *= Fraction(p) ** ((e - (e % 2)) // 2)
-    return s, t
+    s, _ = _square_class(q)
+    return s, is_square(as_fraction(q) / s)
 
 
 def is_square(q: RationalLike) -> Optional[Fraction]:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .forms import DiagonalForm, _isotropic, _square_class, _times, represents
+from .forms import DiagonalForm, _isotropic, represents
 from .hilbert import _symbol_squarefree
 from .places import Place, _places_over, iter_primes
-from .rationals import RationalLike, as_fraction, factor, is_prime, is_square, squarefree_part
+from .rationals import RationalLike, _square_class, _times, as_fraction, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
 
@@ -44,22 +44,19 @@ class SquareClass:
     def __post_init__(self) -> None:
         if self.representative == 0:
             raise ValueError("zero is not a square class")
-        s, t = squarefree_part(self.representative)
-        if t != 1:
+        if _square_class(self.representative)[0] != self.representative:
             raise ValueError(f"{self.representative} is not squarefree")
 
     @classmethod
     def of(cls, q: RationalLike) -> "SquareClass":
-        s, _ = squarefree_part(q)
-        return cls(s)
+        return cls(_square_class(q)[0])
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass.of(self.representative * other.representative)
+        return SquareClass(_times(self.representative, other.representative))
 
     def is_singular_for(self, primes: Iterable[int]) -> bool:
         """Even valuation everywhere outside the given primes."""
-        allowed = set(primes)
-        return all(p in allowed for p, _ in factor(self.representative).factors)
+        return set(_square_class(self.representative)[1]) <= set(primes)
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,14 @@ class SingularBasis:
     classes: tuple[SquareClass, ...]
 
     def __post_init__(self) -> None:
-        expected = (SquareClass(-1),) + tuple(SquareClass(p) for p in self.primes)
-        if self.classes != expected:
+        ps = self.primes
+        if any(p >= q for p, q in zip(ps, ps[1:])):
+            raise ValueError("primes must be ascending and distinct")
+        for p in ps:
+            if not is_prime(p):
+                raise ValueError(f"not a prime: {p}")
+        reps = tuple(c.representative for c in self.classes if isinstance(c, SquareClass))
+        if len(reps) != len(self.classes) or reps != (-1, *ps):
             raise ValueError("basis must be (-1, p_1, ..., p_s) in ascending order")
 
     @property
@@ -94,13 +97,11 @@ class SingularBasis:
 def singular_basis(primes: Iterable[int]) -> SingularBasis:
     """Basis of the square classes with support inside the given primes."""
     ps = tuple(sorted(primes))
-    if len(set(ps)) != len(ps):
-        raise ValueError("prime set has repeated entries")
     for p in ps:
+        # Before SquareClass(p) factors it: a large composite takes seconds.
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
-    classes = (SquareClass(-1),) + tuple(SquareClass(p) for p in ps)
-    return SingularBasis(primes=ps, classes=classes)
+    return SingularBasis(primes=ps, classes=(SquareClass(-1), *(SquareClass(p) for p in ps)))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,10 @@ class TestKnownValues:
         with pytest.raises(ValueError):
             hilbert_symbol(1, 0, REAL)
 
+    def test_factors_each_argument_once(self, factor_calls):
+        hilbert_symbol(Fraction(-15, 7), Fraction(9, 22), Place.finite(7))
+        assert factor_calls == [Fraction(-15, 7), Fraction(9, 22)]
+
     def test_square_class_invariance(self):
         v = Place.finite(3)
         assert hilbert_symbol(Fraction(8, 9), 15, v) == hilbert_symbol(2, 15, v)
@@ -105,6 +109,12 @@ class TestHasseInvariant:
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError):
             hasse_invariant([1, 0], REAL)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_factors_each_entry_once(self, n, factor_calls):
+        entries = [Fraction(-3, 4), Fraction(10), Fraction(7, 3), Fraction(-2), Fraction(9)][:n]
+        hasse_invariant(entries, Place.finite(3))
+        assert factor_calls == entries
 
 
 class TestReciprocity:

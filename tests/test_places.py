@@ -69,6 +69,12 @@ class TestValuation:
         with pytest.raises(ValueError):
             valuation(1, REAL)
 
+    @pytest.mark.parametrize("p", [1, -1, 0, -2])
+    def test_p_below_two_rejected(self, p):
+        # p = +-1 divides every integer, so stripping it would never end.
+        with pytest.raises(ValueError):
+            valuation(5, p)
+
     @given(nonzero_rationals, st.sampled_from(SMALL_PRIMES))
     def test_unit_part(self, q, p):
         v = valuation(q, p)
@@ -166,3 +172,8 @@ class TestSupportPlaces:
         Place.finite(11)
         parse_place("13")
         assert calls == [11, 13]
+
+    def test_factors_each_value_once(self, factor_calls):
+        values = [Fraction(3, 5), Fraction(7), Fraction(-12), Fraction(1, 49)]
+        support_places(values)
+        assert factor_calls == values

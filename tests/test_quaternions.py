@@ -132,6 +132,21 @@ class TestArithmetic:
         assert 2 * q == q * 2 == q + q
         assert Fraction(1, 2) * (q + q) == q
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            pytest.param(lambda q: q * 1.5, id="q*1.5"),
+            pytest.param(lambda q: 1.5 * q, id="1.5*q"),
+            pytest.param(lambda q: q + 1.5, id="q+1.5"),
+            pytest.param(lambda q: q - 1.5, id="q-1.5"),
+            pytest.param(lambda q: q * "2", id="q*str"),
+            pytest.param(lambda q: q + 1, id="q+1"),
+        ],
+    )
+    def test_non_quaternion_operands_raise_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(H.quaternion(1, 2, 3, 4))
+
 
 class TestSqrtNoncentral:
     def test_worked_example(self):

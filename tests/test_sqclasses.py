@@ -9,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quatsqrt.sqclasses as sqclasses
-from quatsqrt.forms import DiagonalForm, _isotropic, _square_class, _times, is_isotropic, represents
+from quatsqrt.forms import DiagonalForm, _isotropic, is_isotropic, represents
 from quatsqrt.hilbert import _symbol_squarefree
 from quatsqrt.places import _places_over, iter_primes
-from quatsqrt.rationals import factor, is_square
+from quatsqrt.rationals import _square_class, _times, factor, is_square
 from quatsqrt.sqclasses import (
     _PRIME_APPEND_CAP,
     GF2System,
+    SingularBasis,
     SquareClass,
     _certified,
     _common_value,
@@ -97,6 +98,12 @@ class TestSquareClass:
         assert not SquareClass(6).is_singular_for((2, 5))
         assert SquareClass(-1).is_singular_for(())
 
+    def test_product_factors_only_its_representative(self, factor_calls):
+        a, b = SquareClass(2), SquareClass(6)
+        factor_calls.clear()
+        assert (a * b).representative == 3
+        assert factor_calls == [3]  # the check of 3, never the product 12
+
 
 class TestSingularBasis:
     def test_structure(self):
@@ -113,6 +120,27 @@ class TestSingularBasis:
             singular_basis((2, 2))
         with pytest.raises(ValueError):
             singular_basis((4,))
+
+    @pytest.mark.parametrize("primes", [(5, 2), (6,), (2, 2)])
+    def test_direct_construction_checks_primes(self, primes):
+        classes = (SquareClass(-1), *map(SquareClass, primes))
+        with pytest.raises(ValueError):
+            SingularBasis(primes=primes, classes=classes)
+
+    def test_classes_must_match_primes(self):
+        with pytest.raises(ValueError):
+            SingularBasis(primes=(2, 5), classes=(SquareClass(-1), SquareClass(5), SquareClass(2)))
+        with pytest.raises(ValueError):
+            SingularBasis(primes=(2,), classes=(-1, 2))
+
+    def test_factors_each_class_once(self, factor_calls):
+        singular_basis((7, 2, 3))
+        assert factor_calls == [-1, 2, 3, 7]
+
+    def test_composite_rejected_before_factoring(self, factor_calls):
+        with pytest.raises(ValueError, match="not a prime"):
+            singular_basis((3, 1000000000000037 * 1000000000000091))
+        assert factor_calls == []
 
     def test_spanned(self):
         basis = singular_basis((2, 5))
