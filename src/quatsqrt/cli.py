@@ -181,10 +181,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     try:
         args = _build_parser().parse_args(_merge_flag_values(argv))
         code, payload = args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, ""
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
     return code, json.dumps(payload, separators=(",", ":"))

@@ -161,8 +161,6 @@ def _descend(a_class: _Class, c_class: _Class) -> tuple[Fraction, Fraction]:
     |c| strictly decreases, so this terminates.
     """
     (a, _), (c, c_primes) = a_class, c_class
-    if a == 1:
-        return Fraction(c + 1, 2), Fraction(c - 1, 2)
     if c == 1:
         return Fraction(1), Fraction(0)
     if (a, c) == (-1, -1):

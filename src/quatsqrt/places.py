@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -46,13 +47,12 @@ REAL = Place.real()
 
 
 def parse_place(text: str) -> Place:
-    """Parse the CLI grammar: "inf" for the real place, a base-10 prime otherwise."""
+    """Parse the CLI grammar: "inf" for the real place, a prime in ASCII digits otherwise."""
     if text == "inf":
         return REAL
-    try:
-        p = int(text)
-    except ValueError:
-        raise ValueError(f"not a place: {text!r}") from None
+    if not re.fullmatch("[0-9]+", text):
+        raise ValueError(f"not a place: {text!r}")
+    p = int(text)
     if not is_prime(p):
         raise ValueError(f"not a prime: {text}")
     return Place._unchecked(p)
@@ -73,6 +73,8 @@ def valuation(q: RationalLike, p: Union[int, Place]) -> int:
         if p.is_real:
             raise ValueError("valuation needs a finite place")
         p = p.prime
+    elif not isinstance(p, int):
+        raise TypeError(f"expected an int or Place, got {type(p).__name__}")
     if p < 2:
         raise ValueError(f"valuation needs p >= 2, got {p}")
     q = as_fraction(q)

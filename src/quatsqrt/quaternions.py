@@ -238,8 +238,9 @@ def sqrt_central_nonsplit(
 
     Scalar, i- and j-aligned shortcut roots are tried first. Otherwise a
     root exists iff the binary forms <a, -alpha> and <beta, -alpha*beta>
-    represent a common value d; from solutions of the two attached norm
-    equations a pure root is assembled.
+    represent a common value d. Its certificates a*m0^2 - alpha*v^2 = d =
+    beta*l0^2 - alpha*beta*l1^2 give the pure root r = (v*i + l0*j + l1*k)/m0,
+    since r^2 = (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
     """
     a = as_fraction(a)
     if a == 0:
@@ -247,31 +248,21 @@ def sqrt_central_nonsplit(
     if algebra.is_split():
         raise ValueError("the algebra splits; use sqrt_central_split")
     alpha, beta = algebra.alpha, algebra.beta
-    c = is_square(a)
-    if c is not None:
-        return algebra.scalar(c)
-    c = is_square(a * alpha)
-    if c is not None:
-        return algebra.quaternion(0, c / alpha, 0, 0)
-    c = is_square(a * beta)
-    if c is not None:
-        return algebra.quaternion(0, 0, c / beta, 0)
-    found = _common_value(
-        DiagonalForm((a, -alpha)), DiagonalForm((beta, -alpha * beta))
-    )
-    if found is None:
-        return None
-    # The certificates solve l0^2 - alpha*l1^2 = d/beta and a*m0^2 - alpha*v^2
-    # = d, so mu = (m0, v/|a|) solves m0^2 - a*alpha*m1^2 = d/a.
-    _, (m0, v), (l0, l1) = found
-    m1 = v / abs(a)
-    if m0 == 0:
-        # Multiply mu by a norm-one element of Q(sqrt(a*alpha)) to move it
-        # off the m0 = 0 locus; a*alpha != 1 since it is not a square.
-        g = a * alpha
-        n0, n1 = (1 + g) / (1 - g), 2 / (1 - g)
-        m0, m1 = m0 * n0 + g * m1 * n1, m0 * n1 + m1 * n0
-    root = algebra.quaternion(0, a * m1 / m0, l0 / m0, l1 / m0)
+    if (c := is_square(a)) is not None:
+        root = algebra.scalar(c)
+    elif (c := is_square(a * alpha)) is not None:
+        root = algebra.quaternion(0, c / alpha, 0, 0)
+    elif (c := is_square(a * beta)) is not None:
+        root = algebra.quaternion(0, 0, c / beta, 0)
+    else:
+        found = _common_value(
+            DiagonalForm((a, -alpha)), DiagonalForm((beta, -alpha * beta))
+        )
+        if found is None:
+            return None
+        _, (m0, v), (l0, l1) = found
+        # m0 = 0 would make (v, l0, l1) a zero of the anisotropic pure norm form.
+        root = algebra.quaternion(0, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)
     if root.square() != algebra.scalar(a):
         raise RuntimeError("non-split central root failed re-squaring")
     return root
@@ -280,25 +271,20 @@ def sqrt_central_nonsplit(
 def sqrt(q: Quaternion) -> Optional[Quaternion]:
     """An exact square root of q, or None when q has none.
 
-    Dispatch: zero to zero; central values to the scalar root when the value
-    is a square in Q, otherwise to the split or non-split central routine;
-    everything else to the non-central routine. The result is re-squared
-    before being returned.
+    Dispatch: non-central values to the non-central routine; central values
+    a to the scalar root when a is a square in Q (0 included), otherwise to
+    the split or non-split central routine. The result is re-squared before
+    being returned.
     """
+    a = q.q0
     if not q.is_central:
         root = sqrt_noncentral(q)
+    elif (c := is_square(a)) is not None:
+        root = q.algebra.scalar(c)
+    elif q.algebra.is_split():
+        root = sqrt_central_split(q.algebra, a)
     else:
-        a = q.q0
-        if a == 0:
-            root = q.algebra.scalar(0)
-        else:
-            c = is_square(a)
-            if c is not None:
-                root = q.algebra.scalar(c)
-            elif q.algebra.is_split():
-                root = sqrt_central_split(q.algebra, a)
-            else:
-                root = sqrt_central_nonsplit(q.algebra, a)
+        root = sqrt_central_nonsplit(q.algebra, a)
     if root is not None and root.square() != q:
         raise RuntimeError("square root failed final re-squaring")
     return root

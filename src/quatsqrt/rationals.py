@@ -39,7 +39,8 @@ _MR_PSI = (
     3317044064679887385961981,
 )
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+# [0-9], not \d, which also matches other scripts' digits; parse_place agrees.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _sieve(bound: int) -> tuple[int, ...]:
@@ -64,7 +65,7 @@ def as_fraction(q: RationalLike) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the "n" / "n/d" base-10 grammar (optional leading minus on n)."""
+    """Parse the "n" / "n/d" grammar in ASCII digits (optional leading minus on n)."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational: {text!r}")
     if "/" in text:
@@ -82,6 +83,8 @@ def format_rational(q: RationalLike) -> str:
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic for n < 3.317e24."""
+    if not isinstance(n, int):
+        raise TypeError(f"expected an int, got {type(n).__name__}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -109,8 +112,6 @@ def _pollard_rho(n: int) -> int:
 
     The parameter sweep is deterministic so repeated runs factor identically.
     """
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y, r, q = 2, 1, 1

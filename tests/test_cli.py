@@ -141,6 +141,12 @@ class TestInvalidInput:
             (),
             # a strong pseudoprime to the twelve prime bases 2..37
             ("hilbert", "--a", "2", "--b", "3", "--place", "318665857834031151167461"),
+            # places and rationals take ASCII digits only, with no sign, space or "_"
+            ("hilbert", "--a", "2", "--b", "3", "--place", "0_7"),
+            ("hilbert", "--a", "2", "--b", "3", "--place", " 7"),
+            ("hilbert", "--a", "2", "--b", "3", "--place", "+7"),
+            ("hilbert", "--a", "\u0662", "--b", "3", "--place", "2"),  # Arabic-Indic two
+            ("conic", "--alpha", "\uff12", "--c", "1/2"),  # fullwidth two
         ],
     )
     def test_exit_two_and_stderr_line(self, argv):

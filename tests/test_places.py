@@ -47,6 +47,10 @@ class TestPlace:
         with pytest.raises(ValueError):
             Place(15)
 
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            Place(5.0)
+
     def test_parse(self):
         assert parse_place("inf") == REAL
         assert parse_place("13") == Place.finite(13)
@@ -68,6 +72,10 @@ class TestValuation:
             valuation(0, 2)
         with pytest.raises(ValueError):
             valuation(1, REAL)
+
+    def test_float_p_rejected(self):
+        with pytest.raises(TypeError):
+            valuation(5, 2.5)
 
     @pytest.mark.parametrize("p", [1, -1, 0, -2])
     def test_p_below_two_rejected(self, p):

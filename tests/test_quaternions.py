@@ -1,9 +1,11 @@
 """Quaternion arithmetic identities and the four square-root routines."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quatsqrt.forms as forms_module
@@ -18,6 +20,7 @@ from quatsqrt.quaternions import (
     sqrt_noncentral,
 )
 from quatsqrt.rationals import is_square
+from quatsqrt.sqclasses import _common_value
 
 H = QuaternionAlgebra(Fraction(-1), Fraction(-1))  # Hamilton
 M = QuaternionAlgebra(Fraction(1), Fraction(1))  # split
@@ -37,6 +40,11 @@ def quaternions(algebra):
 
 
 mixed_algebras = st.sampled_from((H, M, B25))
+nonsplit_algebras = algebra_params.map(lambda p: QuaternionAlgebra(*p)).filter(
+    lambda A: not A.is_split()
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestAlgebra:
@@ -126,6 +134,19 @@ class TestArithmetic:
     @settings(max_examples=100)
     def test_square_matches_multiplication(self, q):
         assert q.square() == q * q
+
+    @given(mixed_algebras.flatmap(lambda A: st.tuples(quaternions(A), quaternions(A))))
+    @settings(max_examples=50)
+    def test_subtraction(self, pair):
+        x, y = pair
+        assert x - y == x + (-y)
+        assert (x - y) + y == x
+        assert x - x == x.algebra.scalar(0)
+
+    def test_readme_python_blocks_print_as_shown(self, capsys):
+        for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+            exec(block, {})
+        assert capsys.readouterr().out == "1 + 1*i + 0*j + 0*k\nNone\n"
 
     def test_scalar_multiplication(self):
         q = H.quaternion(1, 2, 3, 4)
@@ -234,6 +255,35 @@ class TestSqrtCentralNonsplit:
         r = sqrt_central_nonsplit(B25, Fraction(5))
         assert r == B25.quaternion(0, 0, 1, 0)
         assert r.square() == B25.scalar(5)
+
+    @pytest.mark.parametrize("A, a", [(H, 4), (H, -4), (B25, 5)], ids=["scalar", "i", "j"])
+    def test_shortcut_root_is_resquared_once(self, A, a, monkeypatch):
+        calls = []
+        square = Quaternion.square
+
+        def counting(q):
+            calls.append(q)
+            return square(q)
+
+        monkeypatch.setattr(Quaternion, "square", counting)
+        r = sqrt_central_nonsplit(A, Fraction(a))
+        assert calls == [r]
+
+    @given(
+        nonsplit_algebras.flatmap(
+            lambda A: st.tuples(*[small_fractions] * 3).map(lambda c: A.quaternion(0, *c))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_m0_is_never_zero(self, r):
+        # m0 = 0 would make (v, l0, l1) a zero of the pure norm form, which is
+        # anisotropic in a division algebra; the root divides by m0.
+        A, a = r.algebra, r.square().q0
+        assume(a != 0 and all(is_square(a * x) is None for x in (1, A.alpha, A.beta)))
+        found = _common_value(DiagonalForm((a, -A.alpha)), DiagonalForm((A.beta, -A.alpha * A.beta)))
+        assert found is not None
+        _, (m0, _), _ = found
+        assert m0 != 0
 
     def test_general_path_is_pure(self):
         r = sqrt_central_nonsplit(H, Fraction(-2))

@@ -94,6 +94,11 @@ class TestIsPrime:
         # smallest strong pseudoprime to the first k prime bases.
         assert not is_prime(psi)
 
+    @pytest.mark.parametrize("n", [7.0, Fraction(7)])
+    def test_non_int_rejected(self, n):
+        with pytest.raises(TypeError):
+            is_prime(n)
+
     def test_psi_13_fails_the_fourteenth_base(self):
         # psi_13 is a strong pseudoprime to all thirteen prime bases 2..41.
         assert not is_prime(3317044064679887385961981)
@@ -131,6 +136,13 @@ class TestFactor:
         assert f.factors == ((10007, 1), (10009, 1))
         f = factor(10007 * 10007)
         assert f.factors == ((10007, 2),)
+
+    def test_rho_retries_with_the_next_constant(self):
+        # With c = 1 the cycle closes on gcd = n itself, so the factor comes
+        # from the c += 1 retry.
+        n = 10007 * 10099
+        assert rationals._pollard_rho(n) in (10007, 10099)
+        assert factor(n).factors == ((10007, 1), (10099, 1))
 
     @given(nonzero_rationals)
     def test_value_round_trip(self, q):
