@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .hilbert import _hasse, _symbol_squarefree, _symbols_trivial
-from .places import Place, _places_over, is_local_square
+from .hilbert import _hasse, _obstruction, _symbol_squarefree
+from .places import Place, _local_class, _places_over, is_local_square
 from .rationals import RationalLike, _Class, _square_class, _times, as_fraction, is_square
 
 Vector = tuple[Fraction, ...]
@@ -92,7 +92,7 @@ def _isotropic(classes: Sequence[_Class]) -> bool:
 
 def is_isotropic_local(form: DiagonalForm, v: Place) -> bool:
     """Whether the form has a nontrivial zero over the completion at v."""
-    return _isotropic_at([_square_class(x)[0] for x in form], v)
+    return _isotropic_at([_local_class(x, v) for x in form], v)
 
 
 def is_isotropic(form: DiagonalForm) -> bool:
@@ -196,6 +196,7 @@ def solve_conic(
     symbols at the real place, 2, and the odd primes of the squarefree parts,
     and a solution is produced by descent on squarefree representatives.
     alpha and c are factored once and their classes carried through the descent.
+    Either way the solution leaves through one exact check of the equation.
     """
     alpha = as_fraction(alpha)
     c = as_fraction(c)
@@ -204,15 +205,15 @@ def solve_conic(
     root = is_square(alpha)
     if root is not None:
         x, y = (c + 1) / 2, (c - 1) / (2 * root)
-        return x, y
-    a_class, c_class = _square_class(alpha), _square_class(c)
-    if not _symbols_trivial(a_class, c_class):
-        return None
-    ta, tc = is_square(alpha / a_class[0]), is_square(c / c_class[0])  # alpha = s * ta^2
-    x, y = _descend(a_class, c_class)
-    x, y = x * tc, y * tc / ta
+    else:
+        a_class, c_class = _square_class(alpha), _square_class(c)
+        if _obstruction(a_class, c_class) is not None:
+            return None
+        ta, tc = is_square(alpha / a_class[0]), is_square(c / c_class[0])  # alpha = s * ta^2
+        x, y = _descend(a_class, c_class)
+        x, y = x * tc, y * tc / ta
     if x * x - alpha * y * y != c:
-        raise RuntimeError("conic descent produced an incorrect solution")
+        raise RuntimeError("conic solution failed its exact check")
     return x, y
 
 
@@ -221,14 +222,9 @@ def isotropic_vector(form: DiagonalForm) -> Optional[Vector]:
     if form.dim != 3:
         raise ValueError("isotropic_vector expects a ternary form")
     a, b, c = form.entries
+    # (x, y, 1) is a zero: it is solve_conic's checked x^2 + (b/a)*y^2 = -c/a times a.
     sol = solve_conic(-b / a, -c / a)
-    if sol is None:
-        return None
-    x, y = sol
-    vec = (x, y, Fraction(1))
-    if form(vec) != 0:
-        raise RuntimeError("isotropic vector candidate does not vanish")
-    return vec
+    return None if sol is None else (*sol, Fraction(1))
 
 
 def isotropic_to_universal(
@@ -267,10 +263,5 @@ def represents(form: DiagonalForm, d: RationalLike) -> Optional[tuple[Fraction, 
     if d == 0:
         raise ValueError("the represented value must be nonzero")
     x0, x1 = form.entries
-    sol = solve_conic(-x1 / x0, d / x0)
-    if sol is None:
-        return None
-    u, v = sol
-    if x0 * u * u + x1 * v * v != d:
-        raise RuntimeError("representation certificate failed")
-    return u, v
+    # The certificate is solve_conic's checked u^2 + (x1/x0)*v^2 = d/x0, times x0.
+    return solve_conic(-x1 / x0, d / x0)

@@ -3,17 +3,18 @@
 The local formulas are the classical ones (see e.g. Serre, A Course in
 Arithmetic, ch. III): at the real place the symbol is -1 exactly for two
 negatives; at an odd prime it is built from Legendre symbols of the unit
-parts; at 2 from the residues (u-1)/2 and (u^2-1)/8.
+parts; at 2 from the residues (u-1)/2 and (u^2-1)/8. A symbol or invariant
+at one place reads each argument's class at that place only, factoring nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .places import Place, _places_over
-from .rationals import RationalLike, _Class, _square_class, as_fraction, factor
+from .places import Place, _local_class, _places_over
+from .rationals import RationalLike, _Class, _square_class
 
 
 def _eps(u: int) -> int:
@@ -32,7 +33,8 @@ def _legendre(u: int, p: int) -> int:
 
 
 def _symbol_squarefree(sa: int, sb: int, v: Place) -> int:
-    """Hilbert symbol of two squarefree nonzero integers at v."""
+    """Hilbert symbol at v of two nonzero integers of valuation 0 or 1 at v:
+    squarefree integers, or `_local_class` values at v."""
     if v.is_real:
         return -1 if sa < 0 and sb < 0 else 1
     p = v.prime
@@ -55,45 +57,35 @@ def _symbol_squarefree(sa: int, sb: int, v: Place) -> int:
     return sym
 
 
-def _symbols_trivial(a: _Class, b: _Class) -> bool:
-    """Whether the Hilbert symbol of two square classes is +1 at every place."""
-    return all(_symbol_squarefree(a[0], b[0], v) == 1 for v in _places_over(a[1] + b[1]))
+def _obstruction(a: _Class, b: _Class) -> Optional[Place]:
+    """The first place where the Hilbert symbol of two square classes is -1, or None."""
+    places = _places_over(a[1] + b[1])
+    return next((v for v in places if _symbol_squarefree(a[0], b[0], v) == -1), None)
 
 
 def _hasse(reps: Sequence[int], v: Place) -> int:
-    """prod_{i<j} (s_i, s_j)_v over squarefree representatives s_i."""
+    """prod_{i<j} (s_i, s_j)_v over representatives s_i as `_symbol_squarefree` takes them."""
     return math.prod(_symbol_squarefree(a, b, v) for a, b in itertools.combinations(reps, 2))
 
 
 def hilbert_symbol(a: RationalLike, b: RationalLike, v: Place) -> int:
     """(a, b)_v: +1 when z^2 = a*x^2 + b*y^2 has a nontrivial zero over the
     completion at v, -1 otherwise."""
-    a = as_fraction(a)
-    b = as_fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("the Hilbert symbol needs nonzero arguments")
-    return _symbol_squarefree(_square_class(a)[0], _square_class(b)[0], v)
+    return _symbol_squarefree(_local_class(a, v), _local_class(b, v), v)
 
 
 def hasse_invariant(form: Iterable[RationalLike], v: Place) -> int:
     """prod_{i<j} (a_i, a_j)_v over the diagonal entries; +1 in dimension <= 1."""
-    entries = [as_fraction(x) for x in form]
-    if any(x == 0 for x in entries):
-        raise ValueError("diagonal entries must be nonzero")
-    return _hasse([_square_class(x)[0] for x in entries], v)
+    return _hasse([_local_class(x, v) for x in form], v)
 
 
 def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
-    """Product formula: (a,b)_v over the real place and every prime dividing
-    2 or a numerator or denominator of a or b is +1.
+    """Product formula: (a,b)_v over the real place, 2 and every prime of odd
+    valuation in a or b is +1.
 
-    Outside that set both arguments are p-adic units, so the symbol is +1 and
-    the finite product equals the product over all places. Always true;
+    Outside that set both square classes are p-adic units, so the symbol is +1
+    and the finite product equals the product over all places. Always true;
     exposed as a check so it can be exercised at scale.
     """
-    fa, fb = factor(a), factor(b)
-    sa = fa.sign * math.prod(p for p, e in fa.factors if e % 2)
-    sb = fb.sign * math.prod(p for p, e in fb.factors if e % 2)
-    primes = {p for p, _ in fa.factors + fb.factors}
-    total = math.prod(_symbol_squarefree(sa, sb, v) for v in _places_over(primes))
-    return total == 1
+    (sa, pa), (sb, pb) = _square_class(a), _square_class(b)
+    return math.prod(_symbol_squarefree(sa, sb, v) for v in _places_over(pa + pb)) == 1

@@ -91,24 +91,38 @@ def sign_at_real(q: RationalLike) -> int:
     return 1 if q > 0 else -1
 
 
+def _local_class(q: RationalLike, v: Place) -> int:
+    """The integer standing for q's square class at v, for nonzero q.
+
+    Real place: the sign. Prime p: p**(v_p(q) mod 2) times the unit part.
+    Only v is read, so no local question factors q.
+    """
+    if not isinstance(v, Place):
+        raise TypeError(f"expected a Place, got {type(v).__name__}")
+    q = as_fraction(q)
+    if q == 0:
+        raise ValueError("the zero square class is excluded")
+    if v.is_real:
+        return 1 if q > 0 else -1
+    p = v.prime
+    vn, n = _strip(q.numerator, p)
+    vd, d = _strip(q.denominator, p)
+    # n/d and n*d differ by the square d**2, so they share a square class.
+    return p ** ((vn - vd) % 2) * n * d
+
+
 def is_local_square(q: RationalLike, v: Place) -> bool:
     """Whether q is a square in the completion at v.
 
     Real place: positivity.  Odd p: even valuation and the unit part a
     quadratic residue.  p = 2: even valuation and the odd part 1 mod 8.
     """
-    q = as_fraction(q)
-    if q == 0:
-        raise ValueError("the zero square class is excluded")
+    u = _local_class(q, v)
     if v.is_real:
-        return q > 0
+        return u > 0
     p = v.prime
-    vn, n = _strip(q.numerator, p)
-    vd, d = _strip(q.denominator, p)
-    if (vn - vd) % 2:
+    if u % p == 0:
         return False
-    # n/d and n*d differ by the square d**2, so they share a square class.
-    u = n * d
     if p == 2:
         return u % 8 == 1
     return pow(u, (p - 1) // 2, p) == 1

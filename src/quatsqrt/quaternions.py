@@ -3,7 +3,8 @@
 The algebra has basis 1, i, j, k with i^2 = alpha, j^2 = beta and
 k = ij = -ji. Square roots split into cases: non-central elements reduce to
 square tests on the norm, central elements to isotropy and norm equations of
-the attached quadratic forms. Every root returned has been re-squared.
+the attached quadratic forms. Each routine re-squares the root it builds,
+once, and `sqrt` returns that root as it is.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .forms import DiagonalForm, is_isotropic, isotropic_to_universal, solve_conic
-from .hilbert import _symbols_trivial
-from .rationals import RationalLike, _square_class, as_fraction, is_square
+from .forms import DiagonalForm, _isotropic_at, isotropic_to_universal, solve_conic
+from .hilbert import _obstruction
+from .rationals import RationalLike, _square_class, _times, as_fraction, is_square
 from .sqclasses import _common_value
 
 
@@ -53,18 +54,20 @@ class QuaternionAlgebra:
     def is_split(self) -> bool:
         """Whether the algebra is isomorphic to 2x2 matrices over Q.
 
-        Decided once per algebra, two independent ways (isotropy of the pure
-        norm form, and Hilbert symbols at every relevant place) that must agree.
+        Decided once per algebra: it splits iff (alpha, beta)_v = +1 at every
+        place v. A "no" is certified at the first place where the symbol is -1,
+        which must find the pure norm form anisotropic; a "yes" by the pure
+        norm form's isotropic vector, checked exactly when a root needs it.
         """
         return self._split
 
     @cached_property
     def _split(self) -> bool:
-        by_form = is_isotropic(self.pure_norm_form())
-        by_symbols = _symbols_trivial(_square_class(self.alpha), _square_class(self.beta))
-        if by_form != by_symbols:
-            raise RuntimeError("the two splitness criteria disagree")
-        return by_form
+        (a, pa), (b, pb) = _square_class(self.alpha), _square_class(self.beta)
+        v = _obstruction((a, pa), (b, pb))
+        if v is not None and _isotropic_at([-a, -b, _times(a, b)], v):
+            raise RuntimeError(f"the pure norm form is isotropic at the obstruction {v}")
+        return v is None
 
     @cached_property
     def _pure_isotropic_vector(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -81,8 +84,7 @@ class QuaternionAlgebra:
             sol = solve_conic(self.alpha, -self.alpha / self.beta)
             if sol is None:
                 raise RuntimeError("split algebra is missing an isotropic vector")
-            b, c2 = sol
-            vec = (Fraction(1), b, c2)
+            vec = (Fraction(1), *sol)
         if self.pure_norm_form()(vec) != 0:
             raise RuntimeError("isotropic vector construction failed")
         return vec
@@ -273,18 +275,17 @@ def sqrt(q: Quaternion) -> Optional[Quaternion]:
 
     Dispatch: non-central values to the non-central routine; central values
     a to the scalar root when a is a square in Q (0 included), otherwise to
-    the split or non-split central routine. The result is re-squared before
-    being returned.
+    the split or non-split central routine. Each routine re-squares its root
+    before returning it; the scalar root is re-squared here.
     """
     a = q.q0
     if not q.is_central:
-        root = sqrt_noncentral(q)
-    elif (c := is_square(a)) is not None:
-        root = q.algebra.scalar(c)
-    elif q.algebra.is_split():
-        root = sqrt_central_split(q.algebra, a)
-    else:
-        root = sqrt_central_nonsplit(q.algebra, a)
-    if root is not None and root.square() != q:
-        raise RuntimeError("square root failed final re-squaring")
+        return sqrt_noncentral(q)
+    if (c := is_square(a)) is None:
+        if q.algebra.is_split():
+            return sqrt_central_split(q.algebra, a)
+        return sqrt_central_nonsplit(q.algebra, a)
+    root = q.algebra.scalar(c)
+    if root.square() != q:
+        raise RuntimeError("scalar root failed re-squaring")
     return root

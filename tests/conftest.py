@@ -2,7 +2,8 @@
 
 The acceptance tests record one line per criterion here; the hook below
 replays them after the run so they stay visible despite output capture.
-The factor_calls fixture records every argument handed to `factor`.
+The factor_calls fixture records every argument handed to `factor`, and
+square_calls every quaternion that `Quaternion.square` is called on.
 """
 
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import quatsqrt.rationals as rationals
+from quatsqrt.quaternions import Quaternion
 
 acceptance_lines = []
 
@@ -41,6 +43,20 @@ def factor_calls(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "quatsqrt" and getattr(module, "factor", None) is original:
             monkeypatch.setattr(module, "factor", counting)
+    return calls
+
+
+@pytest.fixture
+def square_calls(monkeypatch):
+    """The receivers of every `Quaternion.square` call."""
+    calls = []
+    square = Quaternion.square
+
+    def counting(q):
+        calls.append(q)
+        return square(q)
+
+    monkeypatch.setattr(Quaternion, "square", counting)
     return calls
 
 

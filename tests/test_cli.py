@@ -1,12 +1,18 @@
 """CLI contract: one JSON line, exit codes, byte-for-byte determinism."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from quatsqrt.cli import run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def invoke(*argv):
@@ -75,8 +81,6 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["isotropic"] is True
         x, y, z = payload["witness"]
-        from fractions import Fraction
-
         vec = [Fraction(s) for s in (x, y, z)]
         assert vec[0] ** 2 + vec[1] ** 2 - 2 * vec[2] ** 2 == 0
         assert any(vec)
@@ -115,10 +119,47 @@ class TestSubcommands:
         assert payload["verified"] is True
         assert payload["root"] == ["1/2", "1/2", "1/2", "1/2"]
 
+    def test_sqrt_squares_its_root_once(self, square_calls):
+        # sqrt re-squares the root before returning it; "verified" reads that.
+        code, out = invoke("sqrt", "--alpha", "2", "--beta", "5", "--q", "13,0,0,0")
+        assert (code, out) == (0, '{"status":"ok","root":["0","16/7","-5/7","0"],"verified":true}')
+        assert len(square_calls) == 1
+
+    def test_hilbert_of_a_large_semiprime(self):
+        # Pollard rho does not factor N within the timeout; the symbol at 3 needs N's class there.
+        n = str(1000000000000037 * 1000000000000091)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quatsqrt.cli", "hilbert", "--a", n, "--b", "5", "--place", "3"],
+            capture_output=True,
+            text=True,
+            timeout=15,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"symbol":1}\n', "")
+
     def test_equal_inputs_same_bytes(self):
         a = invoke("sqrt", "--alpha", "-2/2", "--beta", "-1", "--q", "0,4/2,0,0")
         b = invoke("sqrt", "--alpha", "-1", "--beta", "-1", "--q", "0,2,0,0")
         assert a == b
+
+
+class TestReadme:
+    def test_readme_cli_block_prints_as_shown(self):
+        block = re.search(r"```text\n(.*?)```", README.read_text(), re.S).group(1)
+        examples = re.findall(r"^\$ quatsqrt (.*)\n(.*)$", block, re.M)
+        assert len(examples) == 7
+        for command, shown in examples:
+            code, out = run(shlex.split(command))
+            status = json.loads(shown).get("status")
+            negative = status in ("not_a_square", "unsolvable", "empty_intersection")
+            assert code == int(negative), command
+            if command != "isotropic --form 1,1,-2":
+                assert out == shown, command
+                continue
+            # The witness is one zero of x^2 + y^2 - 2z^2, not a canonical one.
+            payload = json.loads(out)
+            assert list(payload) == list(json.loads(shown)) and payload["isotropic"] is True
+            x, y, z = map(Fraction, payload["witness"])
+            assert x * x + y * y - 2 * z * z == 0 and any((x, y, z))
 
 
 class TestInvalidInput:

@@ -202,6 +202,14 @@ class TestSolveConic:
                 x, y = solve_conic(alpha, c)
                 assert x * x - alpha * y * y == c
 
+    def test_square_alpha_solution_is_checked(self, monkeypatch):
+        # A wrong root of a square alpha must raise, not come back as (x, y).
+        monkeypatch.setattr(
+            forms_module, "is_square", lambda q: Fraction(3) if q == 4 else is_square(q)
+        )
+        with pytest.raises(RuntimeError, match="exact check"):
+            solve_conic(Fraction(4), Fraction(5))
+
 
 class TestFactorOnce:
     """One call factors each value once: the inputs, then each new value of

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatsqrt.forms import DiagonalForm, is_isotropic_local
 from quatsqrt.hilbert import hasse_invariant, hilbert_symbol, reciprocity_check
-from quatsqrt.places import REAL, Place
+from quatsqrt.places import REAL, Place, is_local_square
 from quatsqrt.rationals import squarefree_part
 
-from oracles import hilbert_oracle_finite, hilbert_oracle_real
+from oracles import hilbert_oracle_finite, hilbert_oracle_real, local_square_oracle
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 PLACES = (REAL,) + tuple(Place.finite(p) for p in SMALL_PRIMES)
@@ -39,8 +40,9 @@ class TestKnownValues:
             hilbert_symbol(1, 0, REAL)
 
     def test_factors_each_argument_once(self, factor_calls):
+        # A symbol at one place reads each argument's class there: no factoring.
         hilbert_symbol(Fraction(-15, 7), Fraction(9, 22), Place.finite(7))
-        assert factor_calls == [Fraction(-15, 7), Fraction(9, 22)]
+        assert factor_calls == []
 
     def test_square_class_invariance(self):
         v = Place.finite(3)
@@ -114,7 +116,39 @@ class TestHasseInvariant:
     def test_factors_each_entry_once(self, n, factor_calls):
         entries = [Fraction(-3, 4), Fraction(10), Fraction(7, 3), Fraction(-2), Fraction(9)][:n]
         hasse_invariant(entries, Place.finite(3))
-        assert factor_calls == entries
+        assert factor_calls == []
+
+
+class TestOnePlace:
+    # N = 1000000000000037 * 1000000000000091: factoring it is out of reach
+    # of Pollard rho in seconds, but one place reads only its class there.
+    N = 1000000000000037 * 1000000000000091
+
+    @pytest.mark.parametrize("b, p", [(5, 3), (5, 5), (7, 7), (3, 2), (-1, 2)])
+    def test_large_semiprime_at_one_place(self, b, p):
+        v = Place.finite(p)
+        symbol = hilbert_symbol(self.N, b, v)
+        assert symbol == hilbert_oracle_finite(self.N, b, p)
+        assert hasse_invariant([self.N, b], v) == symbol
+        assert is_local_square(self.N, v) == local_square_oracle(Fraction(self.N), p)
+        # <a, b, c> is isotropic at v iff z^2 = (-a/c)x^2 + (-b/c)y^2 is, iff (-ac, -bc)_v = 1.
+        isotropic = hilbert_oracle_finite(7 * self.N, 7 * b, p) == 1
+        assert is_isotropic_local(DiagonalForm((self.N, b, -7)), v) is isotropic
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: hilbert_symbol(2, 3, 5), id="hilbert_symbol"),
+            pytest.param(lambda: is_local_square(2, 5), id="is_local_square"),
+            pytest.param(lambda: hasse_invariant([1, 2, 3], 5), id="hasse_invariant"),
+            pytest.param(
+                lambda: is_isotropic_local(DiagonalForm((1, 2, 3)), 5), id="is_isotropic_local"
+            ),
+        ],
+    )
+    def test_place_must_be_a_place(self, call):
+        with pytest.raises(TypeError, match="expected a Place"):
+            call()
 
 
 class TestReciprocity:

@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 import quatsqrt.forms as forms_module
 import quatsqrt.quaternions as quaternions_module
 from quatsqrt.forms import DiagonalForm, is_isotropic, solve_conic
+from quatsqrt.hilbert import _obstruction
+from quatsqrt.places import REAL
 from quatsqrt.quaternions import (
-    Quaternion,
     QuaternionAlgebra,
     sqrt,
     sqrt_central_nonsplit,
     sqrt_central_split,
     sqrt_noncentral,
 )
-from quatsqrt.rationals import is_square
+from quatsqrt.rationals import _square_class, is_square
 from quatsqrt.sqclasses import _common_value
+
+from oracles import hilbert_oracle_finite, hilbert_oracle_real
 
 H = QuaternionAlgebra(Fraction(-1), Fraction(-1))  # Hamilton
 M = QuaternionAlgebra(Fraction(1), Fraction(1))  # split
@@ -88,28 +91,60 @@ class TestAlgebra:
     @given(algebra_params)
     @settings(max_examples=80, deadline=None)
     def test_is_split_self_consistent(self, params):
-        # is_split computes both criteria and raises if they ever diverge
-        QuaternionAlgebra(Fraction(params[0]), Fraction(params[1])).is_split()
+        # Hilbert symbols decide; isotropy of the pure norm form and each
+        # answer's certificate are checked here, not at run time.
+        alpha, beta = params
+        A = QuaternionAlgebra(Fraction(alpha), Fraction(beta))
+        assert A.is_split() == is_isotropic(A.pure_norm_form())
+        if A.is_split():
+            assert A.pure_norm_form()(A._pure_isotropic_vector) == 0
+        else:
+            v = _obstruction(_square_class(alpha), _square_class(beta))
+            if v.is_real:
+                assert hilbert_oracle_real(alpha, beta) == -1
+            else:
+                assert hilbert_oracle_finite(alpha, beta, v.prime) == -1
 
     def test_isotropic_vector_is_cached(self):
         A = QuaternionAlgebra(Fraction(1), Fraction(1))
         assert A._pure_isotropic_vector is A._pure_isotropic_vector
 
     def test_is_split_is_cached(self, monkeypatch):
-        # sqrt and the central routine's guard both ask; the pure norm form's
-        # isotropy is decided once per algebra.
+        # sqrt and the central routine's guard both ask; the obstruction place
+        # of (alpha, beta) is sought once per algebra.
         calls = []
+        obstruction = quaternions_module._obstruction
 
-        def counting(form):
-            calls.append(form)
-            return is_isotropic(form)
+        def counting(a, b):
+            calls.append((a[0], b[0]))
+            return obstruction(a, b)
 
-        monkeypatch.setattr(quaternions_module, "is_isotropic", counting)
+        monkeypatch.setattr(quaternions_module, "_obstruction", counting)
         for alpha, beta in ((-1, -1), (1, 1)):
             A = QuaternionAlgebra(Fraction(alpha), Fraction(beta))
             for a in (2, -3, Fraction(7, 5)):
                 sqrt(A.scalar(a))
-            assert calls.count(A.pure_norm_form()) == 1
+            assert calls.count((alpha, beta)) == 1
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(-1, -1), (2, 5), (1, 1), (Fraction(3, 4), -7), (6, Fraction(-10, 9))]
+    )
+    def test_is_split_factors_alpha_and_beta_once(self, alpha, beta, factor_calls):
+        QuaternionAlgebra(Fraction(alpha), Fraction(beta)).is_split()
+        assert factor_calls == [alpha, beta]
+
+    def test_witness_place_must_find_the_form_anisotropic(self, monkeypatch):
+        asked = []
+
+        def disagreeing(reps, v):
+            asked.append((reps, v))
+            return True
+
+        monkeypatch.setattr(quaternions_module, "_isotropic_at", disagreeing)
+        with pytest.raises(RuntimeError, match="isotropic at the obstruction"):
+            QuaternionAlgebra(Fraction(-1), Fraction(-1)).is_split()  # not H: its answer is cached
+        # <1, 1, 1>, the pure norm form of (-1, -1), at its first obstruction
+        assert asked == [([1, 1, 1], REAL)]
 
 
 class TestArithmetic:
@@ -257,17 +292,9 @@ class TestSqrtCentralNonsplit:
         assert r.square() == B25.scalar(5)
 
     @pytest.mark.parametrize("A, a", [(H, 4), (H, -4), (B25, 5)], ids=["scalar", "i", "j"])
-    def test_shortcut_root_is_resquared_once(self, A, a, monkeypatch):
-        calls = []
-        square = Quaternion.square
-
-        def counting(q):
-            calls.append(q)
-            return square(q)
-
-        monkeypatch.setattr(Quaternion, "square", counting)
+    def test_shortcut_root_is_resquared_once(self, A, a, square_calls):
         r = sqrt_central_nonsplit(A, Fraction(a))
-        assert calls == [r]
+        assert square_calls == [r]
 
     @given(
         nonsplit_algebras.flatmap(
@@ -358,6 +385,25 @@ class TestSqrtDispatcher:
     def test_central_square_gives_nonnegative_scalar(self):
         r = sqrt(H.scalar(Fraction(9, 4)))
         assert r == H.scalar(Fraction(3, 2))
+
+    @pytest.mark.parametrize(
+        "A, coords",
+        [
+            (H, (0, 2, 0, 0)),
+            (H, (Fraction(9, 4), 0, 0, 0)),
+            (H, (0, 0, 0, 0)),
+            (M, (2, 0, 0, 0)),
+            (H, (-4, 0, 0, 0)),
+            (B25, (5, 0, 0, 0)),
+            (B25, (13, 0, 0, 0)),
+        ],
+        ids=["noncentral", "scalar", "zero", "split", "nonsplit-i", "nonsplit-j", "common-value"],
+    )
+    def test_each_root_is_resquared_once(self, A, coords, square_calls):
+        q = A.quaternion(*coords)
+        r = sqrt(q)
+        assert square_calls == [r]
+        assert r * r == q
 
     def test_spec_cli_cases(self):
         assert sqrt(H.quaternion(0, 2, 0, 0)) == H.quaternion(1, 1, 0, 0)
