@@ -1,12 +1,15 @@
 """Diagonal quadratic forms over Q: isotropy, conics, represented values.
 
-The computational core is solve_conic, a Lagrange-style descent for
-x^2 - alpha*y^2 = c that either returns an exact rational solution or
-proves there is none via local (Hilbert symbol) obstructions.
+The computational core is solve_conic for x^2 - alpha*y^2 = c: it either
+proves there is no rational solution by a local (Hilbert symbol)
+obstruction, or reads an exact one off a single lattice reduction of the
+conic's Legendre form (Cremona-Rusin 2003, Simon 2005).
 
 Each value is factored once by `rationals._square_class`, and its square
 class (s, primes of s), with s squarefree and value = s*t^2, is carried to
-every local test and descent step.
+every local test and to the Legendre form, whose primes are then all known.
+`_solve_conic` takes the classes themselves, so a caller holding them
+factors nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .hilbert import _hasse, _obstruction, _symbol_squarefree
-from .places import Place, _local_class, _places_over, is_local_square
+from .legendre import _legendre_zero
+from .places import Place, _local_classes, _places_over, is_local_square
 from .rationals import RationalLike, _Class, _square_class, _times, as_fraction, is_square
 
 Vector = tuple[Fraction, ...]
@@ -92,7 +96,7 @@ def _isotropic(classes: Sequence[_Class]) -> bool:
 
 def is_isotropic_local(form: DiagonalForm, v: Place) -> bool:
     """Whether the form has a nontrivial zero over the completion at v."""
-    return _isotropic_at([_local_class(x, v) for x in form], v)
+    return _isotropic_at(_local_classes(form, v), v)
 
 
 def is_isotropic(form: DiagonalForm) -> bool:
@@ -110,80 +114,37 @@ def is_isotropic(form: DiagonalForm) -> bool:
     return _isotropic([_square_class(x) for x in form])
 
 
-def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
-    """A square root of n modulo the prime p (Tonelli-Shanks), or None."""
-    n %= p
-    if p == 2 or n == 0:
-        return n
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 1, t * t % p
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
+def _solve_conic(
+    alpha: tuple[Fraction, _Class], c: tuple[Fraction, Optional[_Class]]
+) -> Optional[tuple[Fraction, Fraction]]:
+    """solve_conic on nonzero (value, square class) pairs: nothing is factored.
 
-
-def _sqrt_mod_squarefree(a: int, primes: Sequence[int]) -> int:
-    """A square root of a modulo a product of distinct primes, prime by prime."""
-    r, mod = 0, 1
-    for p in primes:
-        rp = _sqrt_mod_prime(a, p)
-        if rp is None:
-            raise RuntimeError(f"{a} has no square root mod {p} during the descent")
-        # CRT merge of (r mod mod) and (rp mod p)
-        r += mod * ((rp - r) * pow(mod, -1, p) % p)
-        mod *= p
-    return r % mod
-
-
-def _descend(a_class: _Class, c_class: _Class) -> tuple[Fraction, Fraction]:
-    """Solve x^2 - a*y^2 = c for square classes a, c, assuming solvability.
-
-    Classical Lagrange descent: replace c by c' = (t^2 - a)/c for a centered
-    square root t of a mod |c|, strip the square part of c', and recurse;
-    |c| strictly decreases, so this terminates.
+    c's class may be None when alpha's is 1: a pair of lines needs none.
+    A non-square alpha = s_a*t_a^2 and c = s_c*t_c^2 turn x^2 - alpha*y^2 = c
+    into the Legendre form g*X^2 - (s_a/g)*Y^2 - (s_c/g)*Z^2 = 0, with
+    g = gcd(s_a, s_c), x = t_c*g*X/Z and y = t_c*Y/(t_a*Z); Z != 0 since
+    s_a != 1.
     """
-    (a, _), (c, c_primes) = a_class, c_class
-    if c == 1:
-        return Fraction(1), Fraction(0)
-    if (a, c) == (-1, -1):
-        raise RuntimeError("x^2 + y^2 = -1 reached the descent; inputs were not prechecked")
-    if a == c:
-        # a | x is forced, and the equation becomes u^2 - a*v^2 = -1.
-        u, v = _descend(a_class, (-1, []))
-        return a * v, u
-    if abs(a) > abs(c):
-        s, t = _descend(c_class, a_class)
-        # t = 0 would force a to be a square, excluded above.
-        return s / t, 1 / t
-    t = _sqrt_mod_squarefree(a, c_primes)
-    if t > abs(c) // 2:
-        t -= abs(c)
-    c_next, rem = divmod(t * t - a, c)
-    if rem != 0:
-        raise RuntimeError("descent invariant broken: c does not divide t^2 - a")
-    # c_next != 0 since a is not a square; strip its square part.
-    c2, c2_primes = _square_class(c_next)
-    x1, y1 = _descend(a_class, (c2, c2_primes))
-    den = c2 * math.isqrt(c_next // c2)
-    return (t * x1 - a * y1) / den, (x1 - t * y1) / den
+    (alpha, (sa, pa)), (c, c_class) = alpha, c
+    if sa == 1:
+        root = is_square(alpha)
+        x, y = (c + 1) / 2, (c - 1) / (2 * root)
+    elif _obstruction((sa, pa), c_class) is not None:
+        return None
+    else:
+        sc, pc = c_class
+        g = math.gcd(sa, sc)
+        common = set(pa) & set(pc)
+        X, Y, Z = _legendre_zero(
+            g, -sa // g, -sc // g, common,
+            [p for p in pa if p not in common], [p for p in pc if p not in common],
+        )
+        tc = is_square(c / sc)
+        x, y = tc * g * X / Z, tc * Y / (is_square(alpha / sa) * Z)
+    x, y = abs(x), abs(y)
+    if x * x - alpha * y * y != c:
+        raise RuntimeError("conic solution failed its exact check")
+    return x, y
 
 
 def solve_conic(
@@ -192,29 +153,20 @@ def solve_conic(
     """An exact rational solution (x, y) of x^2 - alpha*y^2 = c, or None.
 
     When alpha is a square the conic is a split pair of lines and a solution
-    is written down directly; otherwise solvability is decided by Hilbert
-    symbols at the real place, 2, and the odd primes of the squarefree parts,
-    and a solution is produced by descent on squarefree representatives.
-    alpha and c are factored once and their classes carried through the descent.
-    Either way the solution leaves through one exact check of the equation.
+    is written down directly, factoring nothing. Otherwise alpha and c are
+    factored once each, solvability is decided by Hilbert symbols at the
+    real place, 2 and the odd primes of the two square classes, and a
+    solution is read off one lattice reduction of the conic's Legendre form
+    (see `legendre._legendre_zero`). The solution has x >= 0 and y >= 0,
+    and leaves through one exact check of the equation.
     """
     alpha = as_fraction(alpha)
     c = as_fraction(c)
     if alpha == 0 or c == 0:
         raise ValueError("conic parameters must be nonzero")
-    root = is_square(alpha)
-    if root is not None:
-        x, y = (c + 1) / 2, (c - 1) / (2 * root)
-    else:
-        a_class, c_class = _square_class(alpha), _square_class(c)
-        if _obstruction(a_class, c_class) is not None:
-            return None
-        ta, tc = is_square(alpha / a_class[0]), is_square(c / c_class[0])  # alpha = s * ta^2
-        x, y = _descend(a_class, c_class)
-        x, y = x * tc, y * tc / ta
-    if x * x - alpha * y * y != c:
-        raise RuntimeError("conic solution failed its exact check")
-    return x, y
+    if is_square(alpha) is not None:
+        return _solve_conic((alpha, (1, [])), (c, None))
+    return _solve_conic((alpha, _square_class(alpha)), (c, _square_class(c)))
 
 
 def isotropic_vector(form: DiagonalForm) -> Optional[Vector]:
@@ -244,15 +196,21 @@ def isotropic_to_universal(
         raise ValueError("the isotropic vector must be nonzero")
     if form(vec) != 0:
         raise ValueError("vector is not isotropic for the form")
-    i = next(k for k, (ak, vk) in enumerate(zip(form.entries, vec)) if ak * vk != 0)
-    scale = (target - form.entries[i]) / (2 * form.entries[i] * vec[i])
-    out = tuple(
-        (Fraction(1) if k == i else Fraction(0)) + scale * vec[k]
-        for k in range(form.dim)
-    )
+    out = _universal(form.entries, vec, target)
     if form(out) != target:
         raise RuntimeError("universal representation failed to hit the target")
     return out
+
+
+def _universal(entries: Sequence[Fraction], vec: Vector, target: Fraction) -> Vector:
+    """isotropic_to_universal for a checked isotropic vec, its result unchecked:
+    for a caller that checks what it builds from W."""
+    i = next(k for k, (ak, vk) in enumerate(zip(entries, vec)) if ak * vk != 0)
+    scale = (target - entries[i]) / (2 * entries[i] * vec[i])
+    return tuple(
+        (Fraction(1) if k == i else Fraction(0)) + scale * vec[k]
+        for k in range(len(entries))
+    )
 
 
 def represents(form: DiagonalForm, d: RationalLike) -> Optional[tuple[Fraction, Fraction]]:

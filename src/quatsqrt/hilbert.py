@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
-from .places import Place, _local_class, _places_over
+from .places import Place, _local_classes, _places_over
 from .rationals import RationalLike, _Class, _square_class
 
 
@@ -34,7 +34,7 @@ def _legendre(u: int, p: int) -> int:
 
 def _symbol_squarefree(sa: int, sb: int, v: Place) -> int:
     """Hilbert symbol at v of two nonzero integers of valuation 0 or 1 at v:
-    squarefree integers, or `_local_class` values at v."""
+    squarefree integers, or `_local_classes` values at v."""
     if v.is_real:
         return -1 if sa < 0 and sb < 0 else 1
     p = v.prime
@@ -71,12 +71,12 @@ def _hasse(reps: Sequence[int], v: Place) -> int:
 def hilbert_symbol(a: RationalLike, b: RationalLike, v: Place) -> int:
     """(a, b)_v: +1 when z^2 = a*x^2 + b*y^2 has a nontrivial zero over the
     completion at v, -1 otherwise."""
-    return _symbol_squarefree(_local_class(a, v), _local_class(b, v), v)
+    return _symbol_squarefree(*_local_classes((a, b), v), v)
 
 
 def hasse_invariant(form: Iterable[RationalLike], v: Place) -> int:
     """prod_{i<j} (a_i, a_j)_v over the diagonal entries; +1 in dimension <= 1."""
-    return _hasse([_local_class(x, v) for x in form], v)
+    return _hasse(_local_classes(form, v), v)
 
 
 def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:

@@ -1,0 +1,171 @@
+"""Legendre's equation A*X^2 + B*Y^2 + C*Z^2 = 0 over Z, by lattice reduction.
+
+A, B, C are squarefree, pairwise coprime, not all of one sign, and their
+primes are known, so nothing here factors. The zero is read off one
+integral LLL reduction of a lattice of index |ABC| (Cremona and Rusin,
+"Efficient solution of rational conics", Math. Comp. 72, 2003), on which
+Q/(ABC) is unimodular, by splitting off the first reduced vector as in
+D. Simon, "Solving quadratic equations using reduced unimodular quadratic
+forms", Math. Comp. 74, 2005.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional, Sequence
+
+
+def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
+    """A square root of n modulo the prime p (Tonelli-Shanks), or None."""
+    n %= p
+    if p == 2 or n == 0:
+        return n
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return r
+
+
+def _crt(residues: Iterable[tuple[int, int]]) -> int:
+    """The least r >= 0 with r = r_m mod m for each (r_m, m), moduli pairwise coprime."""
+    r, mod = 0, 1
+    for rm, m in residues:
+        r += mod * ((rm - r) * pow(mod, -1, m) % m)
+        mod *= m
+    return r
+
+
+def _root(num: int, den: int, primes: Iterable[int]) -> int:
+    """A square root of num/den modulo the product of distinct primes, den a unit there."""
+
+    def at(p: int) -> int:
+        r = _sqrt_mod_prime(num * pow(den, -1, p), p)
+        if r is None:
+            raise RuntimeError(f"Legendre's condition fails at {p}; the conic was not prechecked")
+        return r
+
+    return _crt((at(p), p) for p in primes)
+
+
+def _lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[int]]:
+    """LLL-reduce a lattice basis under the form sum w_i*x_i^2, all w_i > 0.
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7) with delta = 99/100. The Gram-Schmidt data are the integers
+    d[k + 1] (the Gram determinant of b[0..k]) and lam[k][j], so every step
+    is exact; they are computed once and updated by each reduction and swap.
+    """
+    b = [list(v) for v in basis]
+    n = len(b)
+    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(w * x * y for w, x, y in zip(weights, b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = lam[k][k]
+
+    def reduce(k: int, j: int) -> None:
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest to lam/d
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
+            lam[k][j] -= q * d[j + 1]
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        t = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + t * t) >= 99 * d[k] ** 2:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        new = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            s = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
+            lam[i][k - 1] = (new * s + t * lam[i][k]) // d[k + 1]
+        d[k] = new
+        k = max(k - 1, 1)
+    return b
+
+
+def _legendre_zero(
+    A: int, B: int, C: int, pa: Iterable[int], pb: Iterable[int], pc: Iterable[int]
+) -> tuple[int, int, int]:
+    """A nonzero zero of Q = A*X^2 + B*Y^2 + C*Z^2, given that Q is isotropic.
+
+    pa, pb, pc are the primes of A, B, C; m = |ABC|, N = |A|X^2 + |B|Y^2 +
+    |C|Z^2 is Q's majorant and G = Q/(ABC).
+    1. Roots of -C/B mod A, -C/A mod B, -B/A mod C give the lattice L of
+       Y = lam*Z mod A, X = mu*Z mod B, X = nu*Y mod C, of index m. Q and its
+       bilinear form are divisible by m on L, so G is integral and
+       unimodular there, of determinant 1 and signature (1, 2).
+    2. LLL with delta = 99/100 under N, of determinant m^3 on L, gives
+       N(b1) <= m/(delta - 1/4) = (50/37)*m (Lenstra, Lenstra and Lovasz
+       1982, Prop. 1.6, with 1/(delta - 1/4) for 2), so |G(b1)| <= 1. If
+       G(b1) != 0 then N(b1) >= m, which bounds N(b2) < 1.51*m and N(b3) <
+       1.98*m, and Cauchy-Schwarz for N puts every G(b_i, b_j) in {-1, 0, 1}.
+    3. Splitting off b1 (Simon 2005): G(b1) = 0 gives b1. Otherwise
+       L = Z*b1 + b1^perp, and c_i = b_i - G(b1)*G(b_i, b1)*b1 span b1^perp,
+       whose Gram matrix [[p, r], [r, s]] has determinant G(b1) and entries
+       at most 2 in size.
+       If G(b1) = -1, p*s - r^2 = -1 forces p = 0 (c2 is a zero), s = 0
+       (c3), or r = 0, s = -p (c2 + c3). If G(b1) = 1, b1^perp is negative
+       definite and p*s - r^2 = 1 forces p = -1 or s = -1, and b1 + c2 or
+       b1 + c3 is a zero.
+    So the zero is k1*b1 + k2*b2 + k3*b3 with |k1| <= 2 and |k2|, |k3| <= 1:
+    N(zero) <= 25*m, and N(zero) <= (50/37)*m when it is b1.
+    """
+    bc = abs(B * C)
+    lam, mu, nu = _root(-C, B, pa), _root(-C, A, pb), _root(-B, A, pc)
+    b1, b2, b3 = _lll(
+        [
+            (bc, 0, 0),
+            (_crt(((0, abs(B)), (nu * A, abs(C)))), A, 0),
+            (_crt(((mu, abs(B)), (nu * lam, abs(C)))), lam, 1),
+        ],
+        (abs(A), abs(B), abs(C)),
+    )
+
+    def g(u: Sequence[int], v: Sequence[int]) -> int:
+        return (A * u[0] * v[0] + B * u[1] * v[1] + C * u[2] * v[2]) // (A * B * C)
+
+    def plus(u: Sequence[int], v: Sequence[int]) -> list[int]:
+        return [x + y for x, y in zip(u, v)]
+
+    eps = g(b1, b1)
+    found: Optional[list[int]] = b1
+    if eps:
+        c2, c3 = ([x - eps * g(b, b1) * y for x, y in zip(b, b1)] for b in (b2, b3))
+        if eps == -1:
+            found = next((v for v in (c2, c3, plus(c2, c3)) if g(v, v) == 0), None)
+        else:
+            found = next((plus(b1, v) for v in (c2, c3) if g(v, v) == -1), None)
+    if found is None:
+        raise RuntimeError("the reduced basis did not give a zero of the Legendre form")
+    return tuple(found)

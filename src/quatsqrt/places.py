@@ -91,14 +91,19 @@ def sign_at_real(q: RationalLike) -> int:
     return 1 if q > 0 else -1
 
 
-def _local_class(q: RationalLike, v: Place) -> int:
-    """The integer standing for q's square class at v, for nonzero q.
+def _local_classes(values: Iterable[RationalLike], v: Place) -> list[int]:
+    """The integers standing for the values' square classes at v, each nonzero.
 
     Real place: the sign. Prime p: p**(v_p(q) mod 2) times the unit part.
-    Only v is read, so no local question factors q.
+    Only v is read, so no local question factors a value. The place is
+    checked once, up front, so an empty list of values checks it too.
     """
     if not isinstance(v, Place):
         raise TypeError(f"expected a Place, got {type(v).__name__}")
+    return [_local_class(q, v) for q in values]
+
+
+def _local_class(q: RationalLike, v: Place) -> int:
     q = as_fraction(q)
     if q == 0:
         raise ValueError("the zero square class is excluded")
@@ -117,7 +122,7 @@ def is_local_square(q: RationalLike, v: Place) -> bool:
     Real place: positivity.  Odd p: even valuation and the unit part a
     quadratic residue.  p = 2: even valuation and the odd part 1 mod 8.
     """
-    u = _local_class(q, v)
+    (u,) = _local_classes((q,), v)
     if v.is_real:
         return u > 0
     p = v.prime

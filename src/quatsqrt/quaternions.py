@@ -14,9 +14,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .forms import DiagonalForm, _isotropic_at, isotropic_to_universal, solve_conic
+from .forms import DiagonalForm, _isotropic_at, _solve_conic, _universal
 from .hilbert import _obstruction
-from .rationals import RationalLike, _square_class, _times, as_fraction, is_square
+from .rationals import (
+    RationalLike, _Class, _class_times, _square_class, _times, as_fraction, is_square,
+)
 from .sqclasses import _common_value
 
 
@@ -62,8 +64,13 @@ class QuaternionAlgebra:
         return self._split
 
     @cached_property
+    def _classes(self) -> tuple[_Class, _Class]:
+        """The square classes of alpha and beta: the algebra's only factorizations."""
+        return _square_class(self.alpha), _square_class(self.beta)
+
+    @cached_property
     def _split(self) -> bool:
-        (a, pa), (b, pb) = _square_class(self.alpha), _square_class(self.beta)
+        (a, pa), (b, pb) = self._classes
         v = _obstruction((a, pa), (b, pb))
         if v is not None and _isotropic_at([-a, -b, _times(a, b)], v):
             raise RuntimeError(f"the pure norm form is isotropic at the obstruction {v}")
@@ -81,7 +88,9 @@ class QuaternionAlgebra:
             # (0, c, 1) vanishes: -beta*c^2 + alpha*beta = beta*(alpha - c^2) = 0.
             vec = (Fraction(0), c, Fraction(1))
         else:
-            sol = solve_conic(self.alpha, -self.alpha / self.beta)
+            ca, cb = self._classes
+            s, primes = _class_times(ca, cb)
+            sol = _solve_conic((self.alpha, ca), (-self.alpha / self.beta, (-s, primes)))
             if sol is None:
                 raise RuntimeError("split algebra is missing an isotropic vector")
             vec = (Fraction(1), *sol)
@@ -224,9 +233,9 @@ def sqrt_central_split(algebra: QuaternionAlgebra, a: RationalLike) -> Quaternio
         raise ValueError("a must be nonzero")
     if not algebra.is_split():
         raise ValueError("the algebra does not split")
-    w = isotropic_to_universal(
-        algebra.pure_norm_form(), algebra._pure_isotropic_vector, -a
-    )
+    # The cached isotropic vector was checked when built, and the root's
+    # re-squaring below checks the norm -a it hits.
+    w = _universal(algebra.pure_norm_form().entries, algebra._pure_isotropic_vector, -a)
     root = Quaternion(algebra, 0, w[0], w[1], w[2])
     if root.square() != algebra.scalar(a):
         raise RuntimeError("split central root failed re-squaring")

@@ -231,6 +231,11 @@ def _times(a: int, b: int) -> int:
     return a * b // math.gcd(a, b) ** 2
 
 
+def _class_times(a: _Class, b: _Class) -> _Class:
+    """The square class of a product of values in the classes a and b."""
+    return _times(a[0], b[0]), sorted(set(a[1]).symmetric_difference(b[1]))
+
+
 def squarefree_part(q: RationalLike) -> tuple[int, Fraction]:
     """Write q = s * t**2 with s a squarefree integer of the same sign.
 

@@ -6,6 +6,9 @@ supported on a finite prime set; representability at each relevant place
 turns into a linear condition over GF(2), and the system is grown by
 appending primes until it becomes solvable. _common_value hands back the
 certificates too, (d, represents(xi, d), represents(zeta, d)), for reuse.
+It factors each entry it needs once; d's class and both certificate
+conics' classes are products of those and the chosen columns, so the
+certificates are solved by `forms._solve_conic` without factoring anything.
 
 The system is built once over the starting places (real, 2, the entries'
 primes) and columns (-1, the starting primes), each row kept sparse as the
@@ -27,10 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .forms import DiagonalForm, _isotropic, represents
+from .forms import DiagonalForm, _isotropic, _solve_conic
 from .hilbert import _symbol_squarefree
 from .places import Place, _places_over, iter_primes
-from .rationals import RationalLike, _square_class, _times, as_fraction, is_prime, is_square
+from .rationals import RationalLike, _Class, _class_times, _square_class, _times, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
 
@@ -158,14 +161,24 @@ def _bit(sym: int) -> int:
 
 
 _Certified = tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+_Entry = tuple[Fraction, Optional[_Class]]  # a value with its square class
 
 
-def _certified(xi: DiagonalForm, zeta: DiagonalForm, d: RationalLike) -> _Certified:
-    d = as_fraction(d)
-    rep_xi, rep_zeta = represents(xi, d), represents(zeta, d)
-    if rep_xi is None or rep_zeta is None:
-        raise RuntimeError("common value failed its representation certificates")
-    return d, rep_xi, rep_zeta
+def _certified(xi: Sequence[_Entry], zeta: Sequence[_Entry], d: _Entry) -> _Certified:
+    """d with its certificates: <b0, b1> represents d by (u, v) with u^2 +
+    (b1/b0)*v^2 = d/b0, the conic solved, times b0. An isotropic form's
+    entries may come without classes: its conic is a pair of lines."""
+    reps = []
+    for (b0, c0), (b1, c1) in (xi, zeta):
+        if c0 is None:
+            rep = _solve_conic((-b1 / b0, (1, [])), (d[0] / b0, None))
+        else:
+            s, primes = _class_times(c0, c1)
+            rep = _solve_conic((-b1 / b0, (-s, primes)), (d[0] / b0, _class_times(d[1], c0)))
+        if rep is None:
+            raise RuntimeError("common value failed its representation certificates")
+        reps.append(rep)
+    return d[0], reps[0], reps[1]
 
 
 def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
@@ -187,11 +200,20 @@ def _common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[_Certified]:
         raise ValueError("common_value expects binary forms")
     x0, x1 = xi.entries
     z0, z1 = zeta.entries
+
+    def with_classes(form: DiagonalForm) -> list[_Entry]:
+        return [(x, _square_class(x)) for x in form]
+
+    # An isotropic form is universal, so the other's first entry is a common
+    # value. Only the other form's entries are factored.
     if is_square(-x0 * x1) is not None:
-        return _certified(xi, zeta, z0)
+        ez = with_classes(zeta)
+        return _certified(((x0, None), (x1, None)), ez, ez[0])
     if is_square(-z0 * z1) is not None:
-        return _certified(xi, zeta, x0)
-    (sx0, px0), (sx1, px1), (sz0, pz0), (sz1, pz1) = map(_square_class, (x0, x1, z0, z1))
+        ex = with_classes(xi)
+        return _certified(ex, ((z0, None), (z1, None)), ex[0])
+    ex, ez = with_classes(xi), with_classes(zeta)
+    ((_, (sx0, px0)), (_, (sx1, px1))), ((_, (sz0, pz0)), (_, (sz1, pz1))) = ex, ez
     if not _isotropic([(sx0, px0), (sx1, px1), (-sz0, pz0), (-sz1, pz1)]):
         return None
     start = sorted({2, *px0, *px1, *pz0, *pz1})
@@ -214,7 +236,9 @@ def _common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[_Certified]:
         live = [(sum(1 << index[c] for c in neg), b) for _, _, neg, b in rows if neg or b]
         eps = solve_gf2(GF2System(tuple(m for m, _ in live), tuple(b for _, b in live), len(columns)))
         if eps is not None:
-            return _certified(xi, zeta, math.prod(c for c, e in zip(columns, eps) if e))
+            chosen = [c for c, e in zip(columns, eps) if e]
+            d = math.prod(chosen)
+            return _certified(ex, ez, (Fraction(d), (d, [p for p in chosen if p > 0])))
         if counted == _PRIME_APPEND_CAP:
             raise RuntimeError("common-value search exceeded the prime-append cap")
         # q is odd and outside the starting primes, so the discriminants, rhs

@@ -1,6 +1,7 @@
 """Diagonal forms: isotropy against brute-force search, exact conic solutions."""
 
-from collections import Counter
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quatsqrt.forms as forms_module
+import quatsqrt.legendre as legendre_module
 from quatsqrt.forms import (
     DiagonalForm,
-    _sqrt_mod_prime,
     is_isotropic,
     is_isotropic_local,
     isotropic_to_universal,
@@ -19,8 +20,9 @@ from quatsqrt.forms import (
     solve_conic,
 )
 from quatsqrt.hilbert import hasse_invariant, hilbert_symbol
+from quatsqrt.legendre import _sqrt_mod_prime
 from quatsqrt.places import REAL, Place, is_local_square, support_places
-from quatsqrt.rationals import is_square
+from quatsqrt.rationals import _square_class, is_square
 
 from oracles import diagonal_zero_search, ternary_zero_search
 
@@ -212,8 +214,9 @@ class TestSolveConic:
 
 
 class TestFactorOnce:
-    """One call factors each value once: the inputs, then each new value of
-    the descent. Results are pinned as they were before that was so."""
+    """One call factors alpha and c, once each, and nothing else: every prime
+    of the Legendre form is read off their two square classes. Labels name
+    the shape of the input's classes s_alpha and s_c."""
 
     @pytest.mark.parametrize(
         "alpha, c, branch, solution",
@@ -224,40 +227,32 @@ class TestFactorOnce:
                 Fraction(-42921, 29),
                 Fraction(4991015585, 14036),
                 "multi-step",
-                (
-                    Fraction(
-                        -5511462209976658405531993523059282,
-                        10141885710228081653939568874159,
-                    ),
-                    Fraction(
-                        129432510793533996859457191221609,
-                        20283771420456163307879137748318,
-                    ),
-                ),
+                (Fraction(32, 11), Fraction(31, 2)),
             ),
             (Fraction(-7, 3), Fraction(5, 12), "obstructed", None),
         ],
     )
-    def test_solve_conic(self, alpha, c, branch, solution, factor_calls, monkeypatch):
-        steps = []
-        descend = forms_module._descend
-
-        def recording(a_class, c_class):
-            steps.append((a_class[0], c_class[0]))
-            return descend(a_class, c_class)
-
-        monkeypatch.setattr(forms_module, "_descend", recording)
+    def test_solve_conic(self, alpha, c, branch, solution, factor_calls):
         assert solve_conic(alpha, c) == solution
-        assert max(Counter(factor_calls).values()) == 1
-        assert factor_calls.count(alpha) == factor_calls.count(c) == 1
-        reached = {
-            "a == c": any(a == c for a, c in steps),
-            "swap": any(abs(a) > abs(c) for a, c in steps),
-            # every reduction step factors its new value once
-            "multi-step": len(factor_calls) - 2 >= 10,
-            "obstructed": not steps,
+        if solution is not None:
+            x, y = solution
+            assert x * x - alpha * y * y == c
+        assert factor_calls == [alpha, c]
+        (sa, pa), (sc, pc) = _square_class(alpha), _square_class(c)
+        shape = {
+            "a == c": sa == sc,
+            "swap": abs(sa) > abs(sc),
+            "multi-step": len(set(pa) | set(pc)) >= 4,
+            "obstructed": solution is None,
         }
-        assert reached[branch]
+        assert shape[branch]
+
+    def test_square_alpha_factors_nothing(self, factor_calls):
+        # A pair of lines needs no class: c = N is never factored.
+        n = 1000000000000037 * 1000000000000091
+        x, y = solve_conic(Fraction(9, 4), n)
+        assert x * x - Fraction(9, 4) * y * y == n
+        assert factor_calls == []
 
     @pytest.mark.parametrize(
         "entries, isotropic",
@@ -269,6 +264,142 @@ class TestFactorOnce:
     def test_is_isotropic(self, entries, isotropic, factor_calls):
         assert is_isotropic(DiagonalForm(entries)) is isotropic
         assert sorted(factor_calls) == sorted(map(Fraction, entries))
+
+
+def planted_conics():
+    """(alpha, c) with alpha not a square and c = x^2 - alpha*y^2 != 0."""
+    return st.tuples(wide_rationals, nonzero_rationals, nonzero_rationals).filter(
+        lambda t: is_square(t[0]) is None and t[1] ** 2 != t[0] * t[2] ** 2
+    ).map(lambda t: (t[0], t[1] ** 2 - t[0] * t[2] ** 2))
+
+
+def record_legendre(mp):
+    """Each Legendre zero solve_conic reads, with its form and reduced basis."""
+    seen = []
+    lll, zero = legendre_module._lll, forms_module._legendre_zero
+
+    def recording_lll(basis, weights):
+        seen[-1]["basis"] = lll(basis, weights)
+        return seen[-1]["basis"]
+
+    def recording_zero(A, B, C, *primes):
+        seen.append({"form": (A, B, C)})
+        seen[-1]["zero"] = zero(A, B, C, *primes)
+        return seen[-1]["zero"]
+
+    mp.setattr(legendre_module, "_lll", recording_lll)
+    mp.setattr(forms_module, "_legendre_zero", recording_zero)
+    return seen
+
+
+def reading(call):
+    """Which vector of the reduced basis b1, b2, b3 the zero was read as."""
+    (A, B, C), (b1, b2, b3) = call["form"], call["basis"]
+
+    def g(u, v):
+        return Fraction(A * u[0] * v[0] + B * u[1] * v[1] + C * u[2] * v[2], A * B * C)
+
+    eps = g(b1, b1)
+    c2, c3 = ([x - eps * g(b, b1) * y for x, y in zip(b, b1)] for b in (b2, b3))
+    candidates = {
+        "b1": b1,
+        "indefinite: c2": c2,
+        "indefinite: c3": c3,
+        "indefinite: c2 + c3": [x + y for x, y in zip(c2, c3)],
+        "definite: b1 + c2": [x + y for x, y in zip(b1, c2)],
+        "definite: b1 + c3": [x + y for x, y in zip(b1, c3)],
+    }
+    kind = {0: "b1", -1: "indefinite", 1: "definite"}[eps]
+    return next(
+        name for name, v in candidates.items()
+        if name.startswith(kind) and tuple(v) == tuple(call["zero"])
+    )
+
+
+class TestLegendreZero:
+    """The zero read off one LLL reduction of the Legendre form's lattice."""
+
+    @given(planted_conics())
+    @settings(max_examples=200, deadline=None)
+    def test_within_the_proven_majorant_bound(self, conic):
+        alpha, c = conic
+        with pytest.MonkeyPatch.context() as mp:
+            seen = record_legendre(mp)
+            x, y = solve_conic(alpha, c)
+        assert x * x - alpha * y * y == c and x >= 0 and y >= 0
+        (call,) = seen
+        (A, B, C), (X, Y, Z) = call["form"], call["zero"]
+        m = abs(A * B * C)
+
+        def majorant(v):
+            return abs(A) * v[0] ** 2 + abs(B) * v[1] ** 2 + abs(C) * v[2] ** 2
+
+        assert A * X * X + B * Y * Y + C * Z * Z == 0 and Z != 0
+        # LLL with delta = 99/100: N(b1) <= m / (delta - 1/4) = (50/37) * m.
+        assert 37 * majorant(call["basis"][0]) <= 50 * m
+        assert majorant((X, Y, Z)) <= 25 * m
+        if reading(call) == "b1":
+            assert 37 * majorant((X, Y, Z)) <= 50 * m
+
+    @pytest.mark.parametrize(
+        "alpha, c, branch, solution",
+        [
+            (-5, 6, "b1", (1, 1)),
+            (3, -2, "indefinite: c2", (1, 1)),
+            (7, 2, "indefinite: c3", (3, 1)),
+            (-1, 2, "indefinite: c2 + c3", (1, 1)),
+            (2, Fraction(1, 2), "definite: b1 + c2", (1, Fraction(1, 2))),
+        ],
+    )
+    def test_each_branch_reached(self, alpha, c, branch, solution, monkeypatch):
+        seen = record_legendre(monkeypatch)
+        assert solve_conic(alpha, c) == solution
+        assert [reading(call) for call in seen] == [branch]
+
+    def test_definite_branch_reads_c3(self, monkeypatch):
+        # In every reduced basis seen with G(b1) = 1, c2 had G(c2) = -1, but
+        # the proof allows G(c2) = -2. The basis b1, b2 + b3, b3 of the same
+        # lattice has that, and the reading must take b1 + c3 from it.
+        lll = legendre_module._lll
+
+        def unreduced(basis, weights):
+            b1, b2, b3 = lll(basis, weights)
+            return [b1, [x + y for x, y in zip(b2, b3)], b3]
+
+        monkeypatch.setattr(legendre_module, "_lll", unreduced)
+        seen = record_legendre(monkeypatch)
+        x, y = solve_conic(2, Fraction(1, 2))
+        assert x * x - 2 * y * y == Fraction(1, 2)
+        assert [reading(call) for call in seen] == ["definite: b1 + c3"]
+
+    def test_no_larger_than_sympy_overall(self):
+        # Holzer-reduced solutions from sympy, on the same equation scaled to
+        # integers, made primitive; sizes compared only where sympy answers.
+        sympy = pytest.importorskip("sympy")
+        from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic
+
+        X, Y, Z = sympy.symbols("X Y Z", integer=True)
+        rng = random.Random(5)
+        ours_digits = sympy_digits = answered = 0
+        for _ in range(60):
+            alpha = Fraction(rng.randint(-10**4, 10**4) or 1, rng.randint(1, 30))
+            x = Fraction(rng.randint(-100, 100), rng.randint(1, 30))
+            y = Fraction(rng.randint(1, 100), rng.randint(1, 30))
+            c = x * x - alpha * y * y
+            if c == 0 or is_square(alpha) is not None:
+                continue
+            sx, sy = solve_conic(alpha, c)
+            den = math.lcm(sx.denominator, sy.denominator)
+            d = math.lcm(alpha.denominator, c.denominator)
+            theirs = diop_ternary_quadratic(d * X**2 - int(d * alpha) * Y**2 - int(d * c) * Z**2)
+            if theirs is None or None in theirs:
+                continue
+            answered += 1
+            theirs = [int(v) // math.gcd(*map(int, theirs)) for v in theirs]
+            ours_digits += sum(len(str(abs(v))) for v in (sx * den, sy * den, den))
+            sympy_digits += sum(len(str(abs(v))) for v in theirs)
+        assert answered >= 30
+        assert ours_digits <= sympy_digits
 
 
 class TestIsotropicVector:

@@ -141,6 +141,7 @@ class TestOnePlace:
             pytest.param(lambda: hilbert_symbol(2, 3, 5), id="hilbert_symbol"),
             pytest.param(lambda: is_local_square(2, 5), id="is_local_square"),
             pytest.param(lambda: hasse_invariant([1, 2, 3], 5), id="hasse_invariant"),
+            pytest.param(lambda: hasse_invariant([], 5), id="hasse_invariant-no-entries"),
             pytest.param(
                 lambda: is_isotropic_local(DiagonalForm((1, 2, 3)), 5), id="is_isotropic_local"
             ),

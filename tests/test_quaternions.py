@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import quatsqrt.forms as forms_module
 import quatsqrt.quaternions as quaternions_module
-from quatsqrt.forms import DiagonalForm, is_isotropic, solve_conic
+import quatsqrt.sqclasses as sqclasses_module
+from quatsqrt.forms import DiagonalForm, is_isotropic
 from quatsqrt.hilbert import _obstruction
 from quatsqrt.places import REAL
 from quatsqrt.quaternions import (
@@ -272,6 +272,32 @@ class TestSqrtCentralSplit:
                 assert r.square() == A.scalar(a)
                 assert r.is_pure
 
+    @pytest.mark.parametrize("params", [(2, -1), (3, -2), (7, -3)])
+    def test_factors_only_alpha_and_beta(self, params, factor_calls):
+        # The isotropic vector's conic is built from is_split's two classes.
+        alpha, beta = map(Fraction, params)
+        A = QuaternionAlgebra(alpha, beta)
+        r = sqrt(A.scalar(Fraction(-5, 3)))
+        assert A.is_split() and r.square() == A.scalar(Fraction(-5, 3))
+        assert factor_calls == [alpha, beta]
+
+    def test_norm_form_not_evaluated_once_the_vector_is_cached(self, square_calls, monkeypatch):
+        # The cached vector was checked when built; the re-squaring checks the root.
+        A = QuaternionAlgebra(Fraction(3), Fraction(-2))
+        A._pure_isotropic_vector
+        calls = []
+        evaluate = DiagonalForm.__call__
+
+        def counting(form, vec):
+            calls.append(vec)
+            return evaluate(form, vec)
+
+        monkeypatch.setattr(DiagonalForm, "__call__", counting)
+        r = sqrt(A.scalar(7))
+        assert r.square() == A.scalar(7)
+        assert calls == []
+        assert len(square_calls) == 2  # sqrt's own check, then the one above
+
     def test_errors(self):
         with pytest.raises(ValueError):
             sqrt_central_split(H, Fraction(2))
@@ -320,15 +346,15 @@ class TestSqrtCentralNonsplit:
         assert r is not None and r.square() == B25.scalar(13)
         assert r.is_pure
 
-    # Roots as returned before common_value handed back its certificates.
+    # Roots as read off the lattice-reduced certificate conics.
     PINNED_ROOTS = [
-        ((-1, -1), -2, ("0", "-1", "1", "0")),
-        ((-1, -1), Fraction(-7, 3), ("0", "-1/3", "-4/3", "2/3")),
-        ((2, 5), 13, ("0", "16/7", "-5/7", "0")),
-        ((2, 5), Fraction(-56, 3), ("0", "-14/3", "20/3", "-16/3")),
-        ((3, -7), Fraction(-27, 7), ("0", "-3/5", "-36/35", "-12/35")),
-        ((3, -7), Fraction(31, 8), ("0", "18/17", "-13/68", "-13/68")),
-        ((-3, -7), Fraction(-11, 2), ("0", "19/16", "-95/224", "5/224")),
+        ((-1, -1), -2, ("0", "-1", "0", "1")),
+        ((-1, -1), Fraction(-7, 3), ("0", "-4/3", "1/3", "2/3")),
+        ((2, 5), 13, ("0", "2", "1", "0")),
+        ((2, 5), Fraction(-56, 3), ("0", "-14/3", "4/3", "8/3")),
+        ((3, -7), Fraction(-27, 7), ("0", "-3", "18/7", "6/7")),
+        ((3, -7), Fraction(31, 8), ("0", "1", "1/4", "1/4")),
+        ((-3, -7), Fraction(-11, 2), ("0", "-3/8", "5/14", "25/56")),
     ]
 
     @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
@@ -336,21 +362,32 @@ class TestSqrtCentralNonsplit:
         A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
         r = sqrt(A.scalar(a))
         assert tuple(str(x) for x in r.coords) == root
+        assert r.square() == A.scalar(a)
 
     @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
     def test_two_conic_solves_per_root(self, params, a, root, monkeypatch):
         # The two certificates of the common value are the two norm equations.
         calls = []
+        solve = sqclasses_module._solve_conic
 
         def counting(alpha, c):
             calls.append((alpha, c))
-            return solve_conic(alpha, c)
+            return solve(alpha, c)
 
-        monkeypatch.setattr(forms_module, "solve_conic", counting)
-        monkeypatch.setattr(quaternions_module, "solve_conic", counting)
+        monkeypatch.setattr(sqclasses_module, "_solve_conic", counting)
         A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
         assert sqrt_central_nonsplit(A, Fraction(a)) is not None
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
+    def test_factors_only_the_forms_entries(self, params, a, root, factor_calls):
+        # is_split reads alpha and beta; _common_value the entries of
+        # <a, -alpha> and <beta, -alpha*beta>. The certificate conics and d
+        # are built from those classes.
+        alpha, beta = Fraction(params[0]), Fraction(params[1])
+        r = sqrt(QuaternionAlgebra(alpha, beta).scalar(a))
+        assert tuple(str(x) for x in r.coords) == root
+        assert factor_calls == [alpha, beta, a, -alpha, beta, -alpha * beta]
 
     def test_unsolvable(self):
         assert sqrt_central_nonsplit(H, Fraction(7)) is None

@@ -51,10 +51,11 @@ def dense_common_value(xi, zeta, cap=400):
     with every appended prime counted toward the cap."""
     x0, x1 = xi.entries
     z0, z1 = zeta.entries
+    ex, ez = ([(x, _square_class(x)) for x in form] for form in (xi, zeta))
     if is_square(-x0 * x1) is not None:
-        return _certified(xi, zeta, z0)
+        return _certified(((x0, None), (x1, None)), ez, ez[0])
     if is_square(-z0 * z1) is not None:
-        return _certified(xi, zeta, x0)
+        return _certified(ex, ((z0, None), (z1, None)), ex[0])
     (sx0, px0), (sx1, px1), (sz0, pz0), (sz1, pz1) = map(_square_class, (x0, x1, z0, z1))
     if not _isotropic([(sx0, px0), (sx1, px1), (-sz0, pz0), (-sz1, pz1)]):
         return None
@@ -70,7 +71,8 @@ def dense_common_value(xi, zeta, cap=400):
                 rhs.append((1 - _symbol_squarefree(b0, b1, v)) // 2)
         eps = solve_gf2(GF2System(tuple(rows), tuple(rhs), len(reps)))
         if eps is not None:
-            return _certified(xi, zeta, math.prod(r for r, e in zip(reps, eps) if e))
+            d = math.prod(r for r, e in zip(reps, eps) if e)
+            return _certified(ex, ez, (Fraction(d), _square_class(d)))
         prime_list.append(next(p for p in iter_primes() if p not in prime_list))
         prime_list.sort()
     raise RuntimeError("reference search exceeded its cap")
@@ -233,6 +235,13 @@ class TestCommonValue:
         # zeta isotropic instead
         assert common_value(DiagonalForm((3, 5)), DiagonalForm((1, -4))) == 3
 
+    def test_isotropic_form_is_not_factored(self, factor_calls):
+        # Its certificate conic is a pair of lines, which needs no class.
+        n = 1000000000000037 * 1000000000000091
+        assert common_value(DiagonalForm((n, -n)), DiagonalForm((3, 5))) == 3
+        assert common_value(DiagonalForm((3, 5)), DiagonalForm((2 * n, -2 * n))) == 3
+        assert factor_calls == [3, 5, 3, 5]
+
     def test_dimension_enforced(self):
         with pytest.raises(ValueError):
             common_value(DiagonalForm((1, 1, 1)), DiagonalForm((1, 1)))
@@ -249,14 +258,14 @@ class TestCommonValue:
     def test_no_false_failure_at_the_cap(self):
         # Past 64 appended primes, but few of them can change solvability.
         xi, zeta = map(DiagonalForm, CAP_PAIR)
-        assert _common_value(xi, zeta) == (
+        found = _common_value(xi, zeta)
+        assert found == (
             420690,
-            (Fraction(-2149453574070, 14409037319), Fraction(-3266648080670, 14409037319)),
-            (
-                Fraction(-55801235397320752763, 100767150724590601),
-                Fraction(11476787357920910819, 201534301449181202),
-            ),
+            (Fraction(20430, 59), Fraction(31910, 59)),
+            (Fraction(49841, 53), Fraction(10633, 106)),
         )
+        for (b0, b1), (u, v) in zip((xi, zeta), found[1:]):
+            assert b0 * u * u + b1 * v * v == found[0]
         assert common_value(xi, zeta) == 420690 == 2 * 3 * 5 * 37 * 379
 
     @pytest.mark.parametrize("xi, zeta", PINNED_PAIRS + [CAP_PAIR])
@@ -323,18 +332,20 @@ class TestCommonValue:
             (
                 (Fraction(-11, 2), 3),
                 (-7, -21),
-                (-13, (Fraction(16, 5), Fraction(-19, 5)), (Fraction(-19, 14), Fraction(1, 14))),
+                (-13, (Fraction(8, 5), Fraction(3, 5)), (Fraction(4, 7), Fraction(5, 7))),
             ),
-            ((13, -11), (-6, -2), (-806, (9, 13), (Fraction(19, 2), Fraction(23, 2)))),
+            ((13, -11), (-6, -2), (-806, (9, 13), (7, 16))),
         ],
     )
     def test_factors_each_value_once(self, xi, zeta, found, factor_calls):
-        # The search and both certificate conics included; results as pinned
-        # before the entries' classes were taken once. Each conic's descent
-        # may end at the unit 1, which has nothing to factor.
+        # The search and both certificate conics included: the conics' and
+        # d's classes are built from the entries', so only entries are factored.
         assert _common_value(DiagonalForm(xi), DiagonalForm(zeta)) == found
+        for (b0, b1), (u, v) in zip((xi, zeta), found[1:]):
+            assert b0 * u * u + b1 * v * v == found[0]
         assert max(Counter(q for q in factor_calls if q != 1).values()) == 1
         assert all(factor_calls.count(q) == 1 for q in xi + zeta)
+        assert factor_calls == list(xi + zeta)
 
     @given(nonzero_small, nonzero_small, nonzero_small, nonzero_small)
     @settings(max_examples=120, deadline=None)
