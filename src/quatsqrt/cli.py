@@ -163,11 +163,14 @@ _VALUE_FLAGS = frozenset(
 
 
 def _merge_flag_values(argv: Sequence[str]) -> list[str]:
-    """Join each value flag with its argument so values may start with '-'."""
+    """Join each value flag with its argument so values may start with '-'.
+
+    A bare '--' is left alone: argparse would read "--flag=--" as no value.
+    """
     out: list[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv):
+        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1] != "--":
             out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:

@@ -5,11 +5,9 @@ proves there is no rational solution by a local (Hilbert symbol)
 obstruction, or reads an exact one off a single lattice reduction of the
 conic's Legendre form (Cremona-Rusin 2003, Simon 2005).
 
-Each value is factored once by `rationals._square_class`, and its square
-class (s, primes of s), with s squarefree and value = s*t^2, is carried to
-every local test and to the Legendre form, whose primes are then all known.
-`_solve_conic` takes the classes themselves, so a caller holding them
-factors nothing.
+Values travel as `rationals._Classed`, which carries each one's square
+class (s, primes of s), with s squarefree and value = s*t^2, to every local
+test and to the Legendre form, whose primes are then all known.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 from .hilbert import _hasse, _obstruction, _symbol_squarefree
 from .legendre import _legendre_zero
 from .places import Place, _local_classes, _places_over, is_local_square
-from .rationals import RationalLike, _Class, _square_class, _times, as_fraction, is_square
+from .rationals import RationalLike, _Classed, _times, as_fraction, is_square
 
 Vector = tuple[Fraction, ...]
 
@@ -88,10 +86,10 @@ def _isotropic_at(reps: Sequence[int], v: Place) -> bool:
     return not (is_local_square(det, v) and hasse == -_symbol_squarefree(-1, -1, v))
 
 
-def _isotropic(classes: Sequence[_Class]) -> bool:
+def _isotropic(entries: Sequence[_Classed]) -> bool:
     """Hasse-Minkowski on the entries' square classes, dimension >= 3."""
-    reps = [s for s, _ in classes]
-    return all(_isotropic_at(reps, v) for v in _places_over(p for c in classes for p in c[1]))
+    reps = [x.cls[0] for x in entries]
+    return all(_isotropic_at(reps, v) for v in _places_over(p for x in entries for p in x.cls[1]))
 
 
 def is_isotropic_local(form: DiagonalForm, v: Place) -> bool:
@@ -111,38 +109,35 @@ def is_isotropic(form: DiagonalForm) -> bool:
         return False
     if n == 2:
         return is_square(-form.entries[0] * form.entries[1]) is not None
-    return _isotropic([_square_class(x) for x in form])
+    return _isotropic([_Classed(x) for x in form])
 
 
-def _solve_conic(
-    alpha: tuple[Fraction, _Class], c: tuple[Fraction, Optional[_Class]]
-) -> Optional[tuple[Fraction, Fraction]]:
-    """solve_conic on nonzero (value, square class) pairs: nothing is factored.
+def _solve_conic(alpha: _Classed, c: _Classed) -> Optional[tuple[Fraction, Fraction]]:
+    """solve_conic on nonzero classed values; a square alpha reads no class.
 
-    c's class may be None when alpha's is 1: a pair of lines needs none.
-    A non-square alpha = s_a*t_a^2 and c = s_c*t_c^2 turn x^2 - alpha*y^2 = c
+    A square alpha makes the conic a pair of lines, solved directly. A
+    non-square alpha = s_a*t_a^2 and c = s_c*t_c^2 turn x^2 - alpha*y^2 = c
     into the Legendre form g*X^2 - (s_a/g)*Y^2 - (s_c/g)*Z^2 = 0, with
     g = gcd(s_a, s_c), x = t_c*g*X/Z and y = t_c*Y/(t_a*Z); Z != 0 since
     s_a != 1.
     """
-    (alpha, (sa, pa)), (c, c_class) = alpha, c
-    if sa == 1:
-        root = is_square(alpha)
-        x, y = (c + 1) / 2, (c - 1) / (2 * root)
-    elif _obstruction((sa, pa), c_class) is not None:
+    root = is_square(alpha.q)
+    if root is not None:
+        x, y = (c.q + 1) / 2, (c.q - 1) / (2 * root)
+    elif _obstruction(alpha.cls, c.cls) is not None:
         return None
     else:
-        sc, pc = c_class
+        (sa, pa), (sc, pc) = alpha.cls, c.cls
         g = math.gcd(sa, sc)
         common = set(pa) & set(pc)
         X, Y, Z = _legendre_zero(
             g, -sa // g, -sc // g, common,
             [p for p in pa if p not in common], [p for p in pc if p not in common],
         )
-        tc = is_square(c / sc)
-        x, y = tc * g * X / Z, tc * Y / (is_square(alpha / sa) * Z)
+        tc = is_square(c.q / sc)
+        x, y = tc * g * X / Z, tc * Y / (is_square(alpha.q / sa) * Z)
     x, y = abs(x), abs(y)
-    if x * x - alpha * y * y != c:
+    if x * x - alpha.q * y * y != c.q:
         raise RuntimeError("conic solution failed its exact check")
     return x, y
 
@@ -160,13 +155,10 @@ def solve_conic(
     (see `legendre._legendre_zero`). The solution has x >= 0 and y >= 0,
     and leaves through one exact check of the equation.
     """
-    alpha = as_fraction(alpha)
-    c = as_fraction(c)
-    if alpha == 0 or c == 0:
+    alpha, c = _Classed(alpha), _Classed(c)
+    if alpha.q == 0 or c.q == 0:
         raise ValueError("conic parameters must be nonzero")
-    if is_square(alpha) is not None:
-        return _solve_conic((alpha, (1, [])), (c, None))
-    return _solve_conic((alpha, _square_class(alpha)), (c, _square_class(c)))
+    return _solve_conic(alpha, c)
 
 
 def isotropic_vector(form: DiagonalForm) -> Optional[Vector]:

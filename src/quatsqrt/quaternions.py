@@ -16,9 +16,7 @@ from typing import Optional, Union
 
 from .forms import DiagonalForm, _isotropic_at, _solve_conic, _universal
 from .hilbert import _obstruction
-from .rationals import (
-    RationalLike, _Class, _class_times, _square_class, _times, as_fraction, is_square,
-)
+from .rationals import RationalLike, _Classed, as_fraction, is_square
 from .sqclasses import _common_value
 
 
@@ -64,15 +62,15 @@ class QuaternionAlgebra:
         return self._split
 
     @cached_property
-    def _classes(self) -> tuple[_Class, _Class]:
-        """The square classes of alpha and beta: the algebra's only factorizations."""
-        return _square_class(self.alpha), _square_class(self.beta)
+    def _classes(self) -> tuple[_Classed, _Classed]:
+        """alpha and beta with their classes: the algebra's only factorizations."""
+        return _Classed(self.alpha), _Classed(self.beta)
 
     @cached_property
     def _split(self) -> bool:
-        (a, pa), (b, pb) = self._classes
-        v = _obstruction((a, pa), (b, pb))
-        if v is not None and _isotropic_at([-a, -b, _times(a, b)], v):
+        A, B = self._classes
+        v = _obstruction(A.cls, B.cls)
+        if v is not None and _isotropic_at([x.cls[0] for x in (-A, -B, A * B)], v):
             raise RuntimeError(f"the pure norm form is isotropic at the obstruction {v}")
         return v is None
 
@@ -88,9 +86,8 @@ class QuaternionAlgebra:
             # (0, c, 1) vanishes: -beta*c^2 + alpha*beta = beta*(alpha - c^2) = 0.
             vec = (Fraction(0), c, Fraction(1))
         else:
-            ca, cb = self._classes
-            s, primes = _class_times(ca, cb)
-            sol = _solve_conic((self.alpha, ca), (-self.alpha / self.beta, (-s, primes)))
+            A, B = self._classes
+            sol = _solve_conic(A, -(A / B))
             if sol is None:
                 raise RuntimeError("split algebra is missing an isotropic vector")
             vec = (Fraction(1), *sol)
@@ -266,9 +263,8 @@ def sqrt_central_nonsplit(
     elif (c := is_square(a * beta)) is not None:
         root = algebra.quaternion(0, 0, c / beta, 0)
     else:
-        found = _common_value(
-            DiagonalForm((a, -alpha)), DiagonalForm((beta, -alpha * beta))
-        )
+        A, B = algebra._classes
+        found = _common_value((_Classed(a), -A), (B, -(A * B)))
         if found is None:
             return None
         _, (m0, v), (l0, l1) = found

@@ -11,12 +11,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
-
-_TRIAL_BOUND = 10_000
 
 # Miller-Rabin to the first k prime bases is deterministic for n < psi_k, the
 # smallest strong pseudoprime to all of them (Jaeschke 1993; Sorenson-Webster
@@ -41,18 +39,6 @@ _MR_PSI = (
 
 # [0-9], not \d, which also matches other scripts' digits; parse_place agrees.
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-def _sieve(bound: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(i for i, f in enumerate(flags) if f)
-
-
-_SMALL_PRIMES = _sieve(_TRIAL_BOUND)
 
 
 def as_fraction(q: RationalLike) -> Fraction:
@@ -108,7 +94,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n (Brent's cycle variant).
+    """A nontrivial factor of a composite n with no prime factor up to 43
+    (Brent's cycle variant); prime powers included.
 
     The parameter sweep is deterministic so repeated runs factor identically.
     """
@@ -140,11 +127,13 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as an exponent map."""
+    """Prime factorization of n >= 1 as an exponent map.
+
+    The primes to 43 are divided out, as `is_prime` would find them first;
+    every cofactor left is proven prime or split by `_pollard_rho`.
+    """
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
+    for p in _MR_BASES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -234,6 +223,41 @@ def _times(a: int, b: int) -> int:
 def _class_times(a: _Class, b: _Class) -> _Class:
     """The square class of a product of values in the classes a and b."""
     return _times(a[0], b[0]), sorted(set(a[1]).symmetric_difference(b[1]))
+
+
+class _Classed:
+    """A nonzero rational q with its square class `cls`, (s, primes of s).
+
+    An input's class is read by one `_square_class` call, the first time it is
+    asked for. -x, x*y and x/y derive theirs from their operands' classes (a
+    divisor's first), so a value built from inputs is never factored.
+    """
+
+    def __init__(self, q: RationalLike, derive: Optional[Callable[[], _Class]] = None):
+        self.q = as_fraction(q)
+        self._derive = derive or (lambda: _square_class(self.q))
+        self._cls: Optional[_Class] = None
+
+    @classmethod
+    def _squarefree(cls, factors: Sequence[int]) -> "_Classed":
+        """The product of distinct factors from -1 and the primes: its own class."""
+        s = math.prod(factors)
+        return cls(s, lambda: (s, [p for p in factors if p > 0]))
+
+    @property
+    def cls(self) -> _Class:
+        if self._cls is None:
+            self._cls = self._derive()
+        return self._cls
+
+    def __neg__(self) -> "_Classed":
+        return _Classed(-self.q, lambda: (-self.cls[0], self.cls[1]))
+
+    def __mul__(self, other: "_Classed") -> "_Classed":
+        return _Classed(self.q * other.q, lambda: _class_times(self.cls, other.cls))
+
+    def __truediv__(self, other: "_Classed") -> "_Classed":
+        return _Classed(self.q / other.q, lambda: _class_times(other.cls, self.cls))
 
 
 def squarefree_part(q: RationalLike) -> tuple[int, Fraction]:

@@ -6,9 +6,6 @@ supported on a finite prime set; representability at each relevant place
 turns into a linear condition over GF(2), and the system is grown by
 appending primes until it becomes solvable. _common_value hands back the
 certificates too, (d, represents(xi, d), represents(zeta, d)), for reuse.
-It factors each entry it needs once; d's class and both certificate
-conics' classes are products of those and the chosen columns, so the
-certificates are solved by `forms._solve_conic` without factoring anything.
 
 The system is built once over the starting places (real, 2, the entries'
 primes) and columns (-1, the starting primes), each row kept sparse as the
@@ -33,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 from .forms import DiagonalForm, _isotropic, _solve_conic
 from .hilbert import _symbol_squarefree
 from .places import Place, _places_over, iter_primes
-from .rationals import RationalLike, _Class, _class_times, _square_class, _times, is_prime, is_square
+from .rationals import RationalLike, _Classed, _square_class, _times, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
 
@@ -161,24 +158,15 @@ def _bit(sym: int) -> int:
 
 
 _Certified = tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-_Entry = tuple[Fraction, Optional[_Class]]  # a value with its square class
 
 
-def _certified(xi: Sequence[_Entry], zeta: Sequence[_Entry], d: _Entry) -> _Certified:
+def _certified(xi: Sequence[_Classed], zeta: Sequence[_Classed], d: _Classed) -> _Certified:
     """d with its certificates: <b0, b1> represents d by (u, v) with u^2 +
-    (b1/b0)*v^2 = d/b0, the conic solved, times b0. An isotropic form's
-    entries may come without classes: its conic is a pair of lines."""
-    reps = []
-    for (b0, c0), (b1, c1) in (xi, zeta):
-        if c0 is None:
-            rep = _solve_conic((-b1 / b0, (1, [])), (d[0] / b0, None))
-        else:
-            s, primes = _class_times(c0, c1)
-            rep = _solve_conic((-b1 / b0, (-s, primes)), (d[0] / b0, _class_times(d[1], c0)))
-        if rep is None:
-            raise RuntimeError("common value failed its representation certificates")
-        reps.append(rep)
-    return d[0], reps[0], reps[1]
+    (b1/b0)*v^2 = d/b0, the conic solved, times b0."""
+    reps = [_solve_conic(-b1 / b0, d / b0) for b0, b1 in (xi, zeta)]
+    if None in reps:
+        raise RuntimeError("common value failed its representation certificates")
+    return d.q, reps[0], reps[1]
 
 
 def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
@@ -191,36 +179,27 @@ def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
     local conditions admit a solution. The result is re-verified against both
     forms before being returned.
     """
-    found = _common_value(xi, zeta)
+    if xi.dim != 2 or zeta.dim != 2:
+        raise ValueError("common_value expects binary forms")
+    found = _common_value(*([_Classed(x) for x in form] for form in (xi, zeta)))
     return None if found is None else found[0]
 
 
-def _common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[_Certified]:
-    if xi.dim != 2 or zeta.dim != 2:
-        raise ValueError("common_value expects binary forms")
-    x0, x1 = xi.entries
-    z0, z1 = zeta.entries
-
-    def with_classes(form: DiagonalForm) -> list[_Entry]:
-        return [(x, _square_class(x)) for x in form]
-
+def _common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> Optional[_Certified]:
     # An isotropic form is universal, so the other's first entry is a common
-    # value. Only the other form's entries are factored.
-    if is_square(-x0 * x1) is not None:
-        ez = with_classes(zeta)
-        return _certified(((x0, None), (x1, None)), ez, ez[0])
-    if is_square(-z0 * z1) is not None:
-        ex = with_classes(xi)
-        return _certified(ex, ((z0, None), (z1, None)), ex[0])
-    ex, ez = with_classes(xi), with_classes(zeta)
-    ((_, (sx0, px0)), (_, (sx1, px1))), ((_, (sz0, pz0)), (_, (sz1, pz1))) = ex, ez
-    if not _isotropic([(sx0, px0), (sx1, px1), (-sz0, pz0), (-sz1, pz1)]):
+    # value. Its certificate conic is a pair of lines, which reads no class.
+    for form, other in ((xi, zeta), (zeta, xi)):
+        if is_square(-form[0].q * form[1].q) is not None:
+            return _certified(xi, zeta, other[0])
+    (x0, x1), (z0, z1) = xi, zeta
+    if not _isotropic([x0, x1, -z0, -z1]):
         return None
-    start = sorted({2, *px0, *px1, *pz0, *pz1})
+    start = sorted({2, *(p for x in (x0, x1, z0, z1) for p in x.cls[1])})
     places = _places_over(start)
     columns = [-1, *start]
     # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree
-    # parts stand for the six classes read, so no round factors anything.
+    # parts stand for the six classes, so no round factors anything.
+    (sx0, sx1), (sz0, sz1) = ((b0.cls[0], b1.cls[0]) for b0, b1 in (xi, zeta))
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
     # One row per discriminant and starting place: the columns whose symbol
     # is -1, and the rhs bit.
@@ -236,9 +215,7 @@ def _common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[_Certified]:
         live = [(sum(1 << index[c] for c in neg), b) for _, _, neg, b in rows if neg or b]
         eps = solve_gf2(GF2System(tuple(m for m, _ in live), tuple(b for _, b in live), len(columns)))
         if eps is not None:
-            chosen = [c for c, e in zip(columns, eps) if e]
-            d = math.prod(chosen)
-            return _certified(ex, ez, (Fraction(d), (d, [p for p in chosen if p > 0])))
+            return _certified(xi, zeta, _Classed._squarefree([c for c, e in zip(columns, eps) if e]))
         if counted == _PRIME_APPEND_CAP:
             raise RuntimeError("common-value search exceeded the prime-append cap")
         # q is odd and outside the starting primes, so the discriminants, rhs

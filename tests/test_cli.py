@@ -197,3 +197,24 @@ class TestInvalidInput:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.strip()  # exactly one diagnostic line
         assert proc.stderr.count("\n") == 1
+
+    VALID = {
+        "sqrt": ("--alpha", "2", "--beta", "5", "--q", "1,0,0,0"),
+        "hilbert": ("--a", "2", "--b", "3", "--place", "5"),
+        "conic": ("--alpha", "2", "--c", "1"),
+        "isotropic": ("--form", "1,1,-2"),
+        "common-value": ("--xi", "1,1", "--zeta", "1,2"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, argv in VALID.items() for flag in argv[::2]],
+    )
+    def test_bare_double_dash_as_a_value(self, command, flag, capsys):
+        # argparse reads "--flag=--" as an empty list on some Python versions,
+        # so a value flag never takes '--' as its value.
+        argv = list(self.VALID[command])
+        argv[argv.index(flag) + 1] = "--"
+        assert run([command, *argv]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

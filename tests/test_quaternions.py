@@ -20,7 +20,7 @@ from quatsqrt.quaternions import (
     sqrt_central_split,
     sqrt_noncentral,
 )
-from quatsqrt.rationals import _square_class, is_square
+from quatsqrt.rationals import _Classed, _square_class, is_square
 from quatsqrt.sqclasses import _common_value
 
 from oracles import hilbert_oracle_finite, hilbert_oracle_real
@@ -333,7 +333,8 @@ class TestSqrtCentralNonsplit:
         # anisotropic in a division algebra; the root divides by m0.
         A, a = r.algebra, r.square().q0
         assume(a != 0 and all(is_square(a * x) is None for x in (1, A.alpha, A.beta)))
-        found = _common_value(DiagonalForm((a, -A.alpha)), DiagonalForm((A.beta, -A.alpha * A.beta)))
+        forms = ((a, -A.alpha), (A.beta, -A.alpha * A.beta))
+        found = _common_value(*([_Classed(x) for x in form] for form in forms))
         assert found is not None
         _, (m0, _), _ = found
         assert m0 != 0
@@ -381,13 +382,23 @@ class TestSqrtCentralNonsplit:
 
     @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
     def test_factors_only_the_forms_entries(self, params, a, root, factor_calls):
-        # is_split reads alpha and beta; _common_value the entries of
-        # <a, -alpha> and <beta, -alpha*beta>. The certificate conics and d
-        # are built from those classes.
+        # is_split reads alpha and beta, and _common_value a. The other
+        # entries of <a, -alpha> and <beta, -alpha*beta>, the certificate
+        # conics and d are built from those three classes.
         alpha, beta = Fraction(params[0]), Fraction(params[1])
         r = sqrt(QuaternionAlgebra(alpha, beta).scalar(a))
         assert tuple(str(x) for x in r.coords) == root
-        assert factor_calls == [alpha, beta, a, -alpha, beta, -alpha * beta]
+        assert factor_calls == [alpha, beta, a]
+
+    def test_product_of_large_inputs_is_not_factored(self, factor_calls):
+        # alpha*beta is a 32-digit semiprime that Pollard rho takes seconds
+        # to split; its class is the product of alpha's and beta's.
+        alpha, beta = Fraction(-1000000000000037), Fraction(1000000000000091)
+        A = QuaternionAlgebra(alpha, beta)
+        r = sqrt(A.scalar(2))
+        den = 1805479000000066802723
+        assert r.coords == (0, Fraction(507132626731279, den), 0, Fraction(16238935, den))
+        assert factor_calls == [alpha, beta, 2]
 
     def test_unsolvable(self):
         assert sqrt_central_nonsplit(H, Fraction(7)) is None

@@ -10,6 +10,8 @@ import quatsqrt.rationals as rationals
 from quatsqrt.rationals import (
     _MR_PSI,
     Factorization,
+    _Classed,
+    _square_class,
     as_fraction,
     factor,
     format_rational,
@@ -131,7 +133,7 @@ class TestFactor:
             factor(0)
 
     def test_needs_rho_beyond_trial_division(self):
-        n = 10007 * 10009  # both factors above the trial-division bound
+        n = 10007 * 10009  # both factors past the primes to 43 divided out
         f = factor(n)
         assert f.factors == ((10007, 1), (10009, 1))
         f = factor(10007 * 10007)
@@ -143,6 +145,12 @@ class TestFactor:
         n = 10007 * 10099
         assert rationals._pollard_rho(n) in (10007, 10099)
         assert factor(n).factors == ((10007, 1), (10099, 1))
+
+    def test_prime_powers_go_to_rho(self):
+        # 47 is the least prime not divided out, so these are split by rho.
+        for p in filter(is_prime, range(47, 2000)):
+            assert factor(p**2).factors == ((p, 2),)
+            assert factor(p**3).factors == ((p, 3),)
 
     @given(nonzero_rationals)
     def test_value_round_trip(self, q):
@@ -165,7 +173,7 @@ class TestFactor:
         calls = []
         original = rationals.is_prime
         monkeypatch.setattr(rationals, "is_prime", lambda n: calls.append(n) or original(n))
-        # trial division proves the small primes; rho's cofactors are tested once
+        # dividing out the primes to 43 proves them; rho's cofactors are tested once
         assert factor(30030 * 10007 * 10009).factors == (
             (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (10007, 1), (10009, 1)
         )
@@ -180,6 +188,35 @@ class TestFactor:
             Factorization(1, ((2, 0),))  # zero exponent
         with pytest.raises(ValueError):
             Factorization(1, ((4, 1),))  # composite
+
+
+class TestClassed:
+    @given(nonzero_rationals, nonzero_rationals)
+    @settings(deadline=None)
+    def test_derived_class_factors_only_the_operands(self, x, y):
+        # Each operand's class is read once, a divisor's first; the value
+        # built is never factored, and its class is the one read off it.
+        cases = [
+            (lambda a, b: -a, -x, [x]),
+            (lambda a, b: a * b, x * y, [x, y]),
+            (lambda a, b: a / b, x / y, [y, x]),
+            (lambda a, b: -(a * b) / a, -y, [x, y]),
+        ]
+        for build, value, reads in cases:
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rationals, "factor", lambda q: calls.append(q) or factor(q))
+                built = build(_Classed(x), _Classed(y))
+                cls = built.cls
+                assert built.cls is cls
+            assert built.q == value
+            assert cls == _square_class(value)
+            assert calls == reads
+
+    def test_squarefree_product_is_its_own_class(self, factor_calls):
+        assert _Classed._squarefree([-1, 3, 7]).cls == (-21, [3, 7])
+        assert _Classed._squarefree([]).cls == (1, [])
+        assert factor_calls == []
 
 
 class TestSquarefreePart:

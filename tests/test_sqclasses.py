@@ -12,7 +12,7 @@ import quatsqrt.sqclasses as sqclasses
 from quatsqrt.forms import DiagonalForm, _isotropic, is_isotropic, represents
 from quatsqrt.hilbert import _symbol_squarefree
 from quatsqrt.places import _places_over, iter_primes
-from quatsqrt.rationals import _square_class, _times, factor, is_square
+from quatsqrt.rationals import _Classed, _square_class, _times, factor, is_square
 from quatsqrt.sqclasses import (
     _PRIME_APPEND_CAP,
     GF2System,
@@ -45,19 +45,24 @@ PINNED_PAIRS = [
 ]
 
 
+def classed(*forms):
+    """Each form's entries as the classed values `_common_value` takes."""
+    return [[_Classed(x) for x in form] for form in forms]
+
+
 def dense_common_value(xi, zeta, cap=400):
     """Reference search that rebuilds the whole GF(2) system every round:
     every row over every place and every column, appended primes included,
     with every appended prime counted toward the cap."""
     x0, x1 = xi.entries
     z0, z1 = zeta.entries
-    ex, ez = ([(x, _square_class(x)) for x in form] for form in (xi, zeta))
+    ex, ez = classed(xi, zeta)
     if is_square(-x0 * x1) is not None:
-        return _certified(((x0, None), (x1, None)), ez, ez[0])
+        return _certified(ex, ez, ez[0])
     if is_square(-z0 * z1) is not None:
-        return _certified(ex, ((z0, None), (z1, None)), ex[0])
+        return _certified(ex, ez, ex[0])
     (sx0, px0), (sx1, px1), (sz0, pz0), (sz1, pz1) = map(_square_class, (x0, x1, z0, z1))
-    if not _isotropic([(sx0, px0), (sx1, px1), (-sz0, pz0), (-sz1, pz1)]):
+    if not _isotropic([ex[0], ex[1], -ez[0], -ez[1]]):
         return None
     prime_list = sorted({2, *px0, *px1, *pz0, *pz1})
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
@@ -72,7 +77,7 @@ def dense_common_value(xi, zeta, cap=400):
         eps = solve_gf2(GF2System(tuple(rows), tuple(rhs), len(reps)))
         if eps is not None:
             d = math.prod(r for r, e in zip(reps, eps) if e)
-            return _certified(ex, ez, (Fraction(d), _square_class(d)))
+            return _certified(ex, ez, _Classed(d))
         prime_list.append(next(p for p in iter_primes() if p not in prime_list))
         prime_list.sort()
     raise RuntimeError("reference search exceeded its cap")
@@ -258,7 +263,7 @@ class TestCommonValue:
     def test_no_false_failure_at_the_cap(self):
         # Past 64 appended primes, but few of them can change solvability.
         xi, zeta = map(DiagonalForm, CAP_PAIR)
-        found = _common_value(xi, zeta)
+        found = _common_value(*classed(xi, zeta))
         assert found == (
             420690,
             (Fraction(20430, 59), Fraction(31910, 59)),
@@ -271,7 +276,7 @@ class TestCommonValue:
     @pytest.mark.parametrize("xi, zeta", PINNED_PAIRS + [CAP_PAIR])
     def test_matches_dense_reference(self, xi, zeta):
         xi, zeta = DiagonalForm(xi), DiagonalForm(zeta)
-        assert _common_value(xi, zeta) == dense_common_value(xi, zeta)
+        assert _common_value(*classed(xi, zeta)) == dense_common_value(xi, zeta)
 
     @given(fractions_to_1e4, fractions_to_1e4, fractions_to_1e4, fractions_to_1e4)
     # an appended prime below a starting one: its column goes in the middle
@@ -279,7 +284,7 @@ class TestCommonValue:
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_reference_random(self, x0, x1, z0, z1):
         xi, zeta = DiagonalForm((x0, x1)), DiagonalForm((z0, z1))
-        assert _common_value(xi, zeta) == dense_common_value(xi, zeta)
+        assert _common_value(*classed(xi, zeta)) == dense_common_value(xi, zeta)
 
     @pytest.mark.parametrize("xi, zeta", [CAP_PAIR, ((13, -11), (-6, -2))])
     def test_appended_prime_adds_one_column(self, xi, zeta, monkeypatch):
@@ -296,7 +301,7 @@ class TestCommonValue:
 
         monkeypatch.setattr(sqclasses, "_symbol_squarefree", counting_symbol)
         monkeypatch.setattr(sqclasses, "solve_gf2", counting_solve)
-        assert _common_value(DiagonalForm(xi), DiagonalForm(zeta)) is not None
+        assert _common_value(*classed(xi, zeta)) is not None
         start = {2} | {p for x in xi + zeta for p, e in factor(x).factors if e % 2}
         # An appended prime q shows as its own place in the diagonal (D, q)_q.
         diagonal = [(b, sym) for b, v, sym in symbols if b == v.prime and b not in start]
@@ -340,7 +345,7 @@ class TestCommonValue:
     def test_factors_each_value_once(self, xi, zeta, found, factor_calls):
         # The search and both certificate conics included: the conics' and
         # d's classes are built from the entries', so only entries are factored.
-        assert _common_value(DiagonalForm(xi), DiagonalForm(zeta)) == found
+        assert _common_value(*classed(xi, zeta)) == found
         for (b0, b1), (u, v) in zip((xi, zeta), found[1:]):
             assert b0 * u * u + b1 * v * v == found[0]
         assert max(Counter(q for q in factor_calls if q != 1).values()) == 1
