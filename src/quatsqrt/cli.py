@@ -163,14 +163,11 @@ _VALUE_FLAGS = frozenset(
 
 
 def _merge_flag_values(argv: Sequence[str]) -> list[str]:
-    """Join each value flag with its argument so values may start with '-'.
-
-    A bare '--' is left alone: argparse would read "--flag=--" as no value.
-    """
+    """Join each value flag with its argument so values may start with '-'."""
     out: list[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1] != "--":
+        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv):
             out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:
@@ -183,6 +180,9 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     """Execute one request; returns (exit code, stdout line or empty)."""
     try:
         args = _build_parser().parse_args(_merge_flag_values(argv))
+        for name, value in vars(args).items():
+            if value == []:  # argparse before 3.13 reads the value "--" as no value
+                raise _UsageError(f"argument --{name}: expected one argument")
         code, payload = args.handler(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .hilbert import _hasse, _obstruction, _symbol_squarefree
 from .legendre import _legendre_zero
 from .places import Place, _local_classes, _places_over, is_local_square
-from .rationals import RationalLike, _Classed, _times, as_fraction, is_square
+from .rationals import RationalLike, _Classed, _times, _Value, as_fraction, is_square
 
 Vector = tuple[Fraction, ...]
 
@@ -33,19 +32,19 @@ def _vector(seq: Sequence[RationalLike], dim: int) -> Vector:
     return vec
 
 
-@dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(_Value):
     """<a_1, ..., a_n>: the form a_1*x_1^2 + ... + a_n*x_n^2, entries nonzero."""
 
+    _fields = ("entries",)
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(as_fraction(x) for x in self.entries)
+    def __init__(self, entries: Sequence[RationalLike]) -> None:
+        entries = tuple(as_fraction(x) for x in entries)
         if not entries:
             raise ValueError("a diagonal form needs at least one entry")
         if any(x == 0 for x in entries):
             raise ValueError("diagonal entries must be nonzero")
-        object.__setattr__(self, "entries", entries)
+        self._set(entries)
 
     @property
     def dim(self) -> int:

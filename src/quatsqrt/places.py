@@ -4,21 +4,21 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .rationals import RationalLike, _square_class, as_fraction, is_prime
+from .rationals import RationalLike, _square_class, _Value, as_fraction, is_prime
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(_Value):
     """The real place (prime is None) or the finite place at a prime."""
 
-    prime: Optional[int] = None
+    _fields = ("prime",)
+    prime: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.prime is not None and not is_prime(self.prime):
-            raise ValueError(f"not a prime: {self.prime}")
+    def __init__(self, prime: Optional[int] = None) -> None:
+        if prime is not None and not is_prime(prime):
+            raise ValueError(f"not a prime: {prime}")
+        self._set(prime)
 
     @classmethod
     def real(cls) -> "Place":

@@ -9,31 +9,28 @@ once, and `sqrt` returns that root as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
 from .forms import DiagonalForm, _isotropic_at, _solve_conic, _universal
 from .hilbert import _obstruction
-from .rationals import RationalLike, _Classed, as_fraction, is_square
+from .rationals import RationalLike, _Classed, _Value, as_fraction, is_square
 from .sqclasses import _common_value
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(_Value):
     """(alpha, beta | Q) with alpha, beta nonzero rationals."""
 
+    _fields = ("alpha", "beta")
     alpha: Fraction
     beta: Fraction
 
-    def __post_init__(self) -> None:
-        alpha = as_fraction(self.alpha)
-        beta = as_fraction(self.beta)
+    def __init__(self, alpha: RationalLike, beta: RationalLike) -> None:
+        alpha, beta = as_fraction(alpha), as_fraction(beta)
         if alpha == 0 or beta == 0:
             raise ValueError("alpha and beta must be nonzero")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self._set(alpha, beta)
 
     def quaternion(
         self,
@@ -96,19 +93,19 @@ class QuaternionAlgebra:
         return vec
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(_Value):
     """An element q0 + q1*i + q2*j + q3*k of a fixed quaternion algebra."""
 
+    _fields = ("algebra", "q0", "q1", "q2", "q3")
     algebra: QuaternionAlgebra
     q0: Fraction
     q1: Fraction
     q2: Fraction
     q3: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("q0", "q1", "q2", "q3"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+    def __init__(self, algebra: QuaternionAlgebra, q0: RationalLike, q1: RationalLike,
+                 q2: RationalLike, q3: RationalLike) -> None:
+        self._set(algebra, as_fraction(q0), as_fraction(q1), as_fraction(q2), as_fraction(q3))
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -151,22 +151,54 @@ def _factor_int(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _Value:
+    """An immutable value, compared, hashed and printed by the attributes in `_fields`, in order.
+    Assigning or deleting an attribute raises AttributeError; `__init__` stores through `_set`."""
+
+    def __init_subclass__(cls) -> None:
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+        cls.__match_args__ = cls._fields
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Factorization(_Value):
     """A signed factorization q = sign * prod(p**e).
 
     Primes are strictly increasing, exponents nonzero; denominator primes
     carry negative exponents. value() reassembles the original rational.
     """
 
+    _fields = ("sign", "factors")
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]) -> None:
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be +-1, got {sign}")
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev:
                 raise ValueError("primes must be strictly increasing")
             if e == 0:
@@ -174,6 +206,7 @@ class Factorization:
             if not is_prime(p):
                 raise ValueError(f"not a prime: {p}")
             prev = p
+        self._set(sign, factors)
 
     @classmethod
     def _unchecked(cls, sign: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":

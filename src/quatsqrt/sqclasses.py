@@ -23,29 +23,29 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forms import DiagonalForm, _isotropic, _solve_conic
 from .hilbert import _symbol_squarefree
 from .places import Place, _places_over, iter_primes
-from .rationals import RationalLike, _Classed, _square_class, _times, is_prime, is_square
+from .rationals import RationalLike, _Classed, _square_class, _times, _Value, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(_Value):
     """A square class of Q*, represented by its unique squarefree integer."""
 
+    _fields = ("representative",)
     representative: int
 
-    def __post_init__(self) -> None:
-        if self.representative == 0:
+    def __init__(self, representative: int) -> None:
+        if representative == 0:
             raise ValueError("zero is not a square class")
-        if _square_class(self.representative)[0] != self.representative:
-            raise ValueError(f"{self.representative} is not squarefree")
+        if _square_class(representative)[0] != representative:
+            raise ValueError(f"{representative} is not squarefree")
+        self._set(representative)
 
     @classmethod
     def of(cls, q: RationalLike) -> "SquareClass":
@@ -59,23 +59,23 @@ class SquareClass:
         return set(_square_class(self.representative)[1]) <= set(primes)
 
 
-@dataclass(frozen=True)
-class SingularBasis:
+class SingularBasis(_Value):
     """The GF(2) basis (-1, p_1, ..., p_s) of the classes singular at {p_i}."""
 
+    _fields = ("primes", "classes")
     primes: tuple[int, ...]
     classes: tuple[SquareClass, ...]
 
-    def __post_init__(self) -> None:
-        ps = self.primes
-        if any(p >= q for p, q in zip(ps, ps[1:])):
+    def __init__(self, primes: tuple[int, ...], classes: tuple[SquareClass, ...]) -> None:
+        if any(p >= q for p, q in zip(primes, primes[1:])):
             raise ValueError("primes must be ascending and distinct")
-        for p in ps:
+        for p in primes:
             if not is_prime(p):
                 raise ValueError(f"not a prime: {p}")
-        reps = tuple(c.representative for c in self.classes if isinstance(c, SquareClass))
-        if len(reps) != len(self.classes) or reps != (-1, *ps):
+        reps = tuple(c.representative for c in classes if isinstance(c, SquareClass))
+        if len(reps) != len(classes) or reps != (-1, *primes):
             raise ValueError("basis must be (-1, p_1, ..., p_s) in ascending order")
+        self._set(primes, classes)
 
     @property
     def dim(self) -> int:
@@ -104,24 +104,25 @@ def singular_basis(primes: Iterable[int]) -> SingularBasis:
     return SingularBasis(primes=ps, classes=(SquareClass(-1), *(SquareClass(p) for p in ps)))
 
 
-@dataclass(frozen=True)
-class GF2System:
+class GF2System(_Value):
     """A linear system over GF(2): rows as column bitmasks, one rhs bit per row."""
 
+    _fields = ("rows", "rhs", "ncols")
     rows: tuple[int, ...]
     rhs: tuple[int, ...]
     ncols: int
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.rhs):
+    def __init__(self, rows: tuple[int, ...], rhs: tuple[int, ...], ncols: int) -> None:
+        if len(rows) != len(rhs):
             raise ValueError("rows and rhs lengths differ")
-        if self.ncols < 0:
+        if ncols < 0:
             raise ValueError("negative column count")
-        for mask in self.rows:
-            if mask < 0 or mask >> self.ncols:
+        for mask in rows:
+            if mask < 0 or mask >> ncols:
                 raise ValueError("row mask outside the column range")
-        if any(b not in (0, 1) for b in self.rhs):
+        if any(b not in (0, 1) for b in rhs):
             raise ValueError("rhs entries must be bits")
+        self._set(rows, rhs, ncols)
 
 
 def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:

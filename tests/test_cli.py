@@ -212,9 +212,12 @@ class TestInvalidInput:
     )
     def test_bare_double_dash_as_a_value(self, command, flag, capsys):
         # argparse reads "--flag=--" as an empty list on some Python versions,
-        # so a value flag never takes '--' as its value.
+        # so a value flag never takes '--' as its value, in either spelling.
         argv = list(self.VALID[command])
-        argv[argv.index(flag) + 1] = "--"
-        assert run([command, *argv]) == (2, "")
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        i = argv.index(flag)
+        separate = [*argv[:i], flag, "--", *argv[i + 2 :]]
+        joined = [*argv[:i], f"{flag}=--", *argv[i + 2 :]]
+        for spelling in (separate, joined):
+            assert run([command, *spelling]) == (2, ""), spelling
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, err
