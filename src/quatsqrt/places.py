@@ -6,7 +6,7 @@ import itertools
 import re
 from typing import Iterable, Iterator, Optional, Union
 
-from .rationals import RationalLike, _square_class, _Value, as_fraction, is_prime
+from .rationals import RationalLike, _small_primes, _square_class, _Value, as_fraction, is_prime
 
 
 class Place(_Value):
@@ -135,8 +135,9 @@ def is_local_square(q: RationalLike, v: Place) -> bool:
 
 def iter_primes() -> Iterator[int]:
     """2, 3, 5, ... ascending, without shared state between callers."""
-    yield 2
-    yield from (k for k in itertools.count(3, 2) if is_prime(k))
+    small = _small_primes()[0]
+    yield from small
+    yield from (k for k in itertools.count(small[-1] + 2, 2) if is_prime(k))
 
 
 def nth_prime(n: int) -> int:

@@ -9,13 +9,15 @@ once, and `sqrt` returns that root as it is.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
 from .forms import DiagonalForm, _isotropic_at, _solve_conic, _universal
-from .hilbert import _obstruction
-from .rationals import RationalLike, _Classed, _Value, as_fraction, is_square
+from .hilbert import _obstructions
+from .places import Place, is_local_square
+from .rationals import RationalLike, _Classed, _sqrt_ratio, _Value, as_fraction, is_square
 from .sqclasses import _common_value
 
 
@@ -56,7 +58,7 @@ class QuaternionAlgebra(_Value):
         which must find the pure norm form anisotropic; a "yes" by the pure
         norm form's isotropic vector, checked exactly when a root needs it.
         """
-        return self._split
+        return not self._ramified
 
     @cached_property
     def _classes(self) -> tuple[_Classed, _Classed]:
@@ -64,12 +66,19 @@ class QuaternionAlgebra(_Value):
         return _Classed(self.alpha), _Classed(self.beta)
 
     @cached_property
-    def _split(self) -> bool:
+    def _ints(self) -> tuple[int, int, int, int]:
+        """alpha and beta as (numerator, denominator) integers, the denominators positive."""
+        a, b = self.alpha, self.beta
+        return a.numerator, a.denominator, b.numerator, b.denominator
+
+    @cached_property
+    def _ramified(self) -> list[Place]:
+        """Every place v with (alpha, beta)_v = -1, ascending; empty iff the algebra splits."""
         A, B = self._classes
-        v = _obstruction(A.cls, B.cls)
-        if v is not None and _isotropic_at([x.cls[0] for x in (-A, -B, A * B)], v):
-            raise RuntimeError(f"the pure norm form is isotropic at the obstruction {v}")
-        return v is None
+        places = list(_obstructions(A.cls, B.cls))
+        if places and _isotropic_at([x.cls[0] for x in (-A, -B, A * B)], places[0]):
+            raise RuntimeError(f"the pure norm form is isotropic at the obstruction {places[0]}")
+        return places
 
     @cached_property
     def _pure_isotropic_vector(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -146,19 +155,19 @@ class Quaternion(_Value):
     def __mul__(self, other: Union["Quaternion", int, Fraction]) -> "Quaternion":
         if not isinstance(other, Quaternion):
             c = as_fraction(other)
-            return Quaternion(
-                self.algebra, c * self.q0, c * self.q1, c * self.q2, c * self.q3
-            )
+            return Quaternion(self.algebra, *[c * x for x in self.coords])
         self._same_algebra(other)
-        a, b = self.algebra.alpha, self.algebra.beta
-        p0, p1, p2, p3 = self.coords
-        r0, r1, r2, r3 = other.coords
+        an, ad, bn, bd = self.algebra._ints
+        D, (p0, p1, p2, p3) = self._scaled()
+        E, (r0, r1, r2, r3) = other._scaled()
+        DE = D * E
         return Quaternion(
             self.algebra,
-            p0 * r0 + a * p1 * r1 + b * p2 * r2 - a * b * p3 * r3,
-            p0 * r1 + p1 * r0 - b * p2 * r3 + b * p3 * r2,
-            p0 * r2 + p2 * r0 + a * p1 * r3 - a * p3 * r1,
-            p0 * r3 + p3 * r0 + p1 * r2 - p2 * r1,
+            Fraction(ad * bd * p0 * r0 + an * bd * p1 * r1 + bn * ad * p2 * r2 - an * bn * p3 * r3,
+                     DE * ad * bd),
+            Fraction(bd * (p0 * r1 + p1 * r0) + bn * (p3 * r2 - p2 * r3), DE * bd),
+            Fraction(ad * (p0 * r2 + p2 * r0) + an * (p1 * r3 - p3 * r1), DE * ad),
+            Fraction(p0 * r3 + p3 * r0 + p1 * r2 - p2 * r1, DE),
         )
 
     def __rmul__(self, other: Union[int, Fraction]) -> "Quaternion":
@@ -167,26 +176,30 @@ class Quaternion(_Value):
     def conj(self) -> "Quaternion":
         return Quaternion(self.algebra, self.q0, -self.q1, -self.q2, -self.q3)
 
+    def _scaled(self) -> tuple[int, tuple[int, int, int, int]]:
+        """(D, (n0, n1, n2, n3)) with q_i = n_i/D over D, the lcm of the denominators."""
+        D = math.lcm(*[x.denominator for x in self.coords])
+        return D, tuple([x.numerator * (D // x.denominator) for x in self.coords])
+
+    def _norm_ints(self) -> tuple[int, int, int, int, tuple[int, int, int, int]]:
+        """(E, c, x, D, n) with q_i = n_i/D, q0^2 = c/E, E = D^2*den(alpha)*den(beta) and
+        alpha*q1^2 + beta*q2^2 - alpha*beta*q3^2 = x/E: N(q) = (c - x)/E, (q^2)_0 = (c + x)/E."""
+        an, ad, bn, bd = self.algebra._ints
+        D, n = self._scaled()
+        n0, n1, n2, n3 = n
+        x = an * bd * n1 * n1 + bn * ad * n2 * n2 - an * bn * n3 * n3
+        return D * D * ad * bd, ad * bd * n0 * n0, x, D, n
+
     def norm(self) -> Fraction:
         """Reduced norm q * conj(q), a rational scalar."""
-        a, b = self.algebra.alpha, self.algebra.beta
-        return (
-            self.q0 * self.q0
-            - a * self.q1 * self.q1
-            - b * self.q2 * self.q2
-            + a * b * self.q3 * self.q3
-        )
+        E, c, x, _, _ = self._norm_ints()
+        return Fraction(c - x, E)
 
     def square(self) -> "Quaternion":
         """q*q via the closed form (2*q0^2 - N(q)) + 2*q0*(pure part of q)."""
-        doubled = 2 * self.q0
-        return Quaternion(
-            self.algebra,
-            2 * self.q0 * self.q0 - self.norm(),
-            doubled * self.q1,
-            doubled * self.q2,
-            doubled * self.q3,
-        )
+        E, c, x, D, (n0, *pure) = self._norm_ints()
+        pure = [Fraction(2 * n0 * n, D * D) for n in pure]
+        return Quaternion(self.algebra, Fraction(c + x, E), *pure)
 
     def __str__(self) -> str:
         return f"{self.q0} + {self.q1}*i + {self.q2}*j + {self.q3}*k"
@@ -197,19 +210,23 @@ def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
 
     r^2 = q forces N(r)^2 = N(q) and 2*r0^2 - N(r) = q0, so r0^2 is one of
     (q0 +- d)/2 with d^2 = N(q); the pure part of r is then q_pure / (2*r0).
-    The (q0 + d)/2 candidate is tried first.
+    The (q0 + d)/2 candidate is tried first. Square tests read unreduced
+    integer pairs, so none takes a gcd.
     """
     if q.is_central:
         raise ValueError("argument must not be central")
-    d = is_square(q.norm())
-    if d is None:
+    # Over E, N(q) = (c - x)/E, sqrt(N(q)) = s/E, and q0 = n0*K/E with K = E/D.
+    E, c, x, D, (n0, *pure) = q._norm_ints()
+    s = _sqrt_ratio(c - x, E)
+    if s is None:
         return None
-    for r0_squared in ((q.q0 + d) / 2, (q.q0 - d) / 2):
-        r0 = is_square(r0_squared)
-        if r0 is None or r0 == 0:
+    K = E // D
+    for m in (n0 * K + s, n0 * K - s):
+        # r0^2 = m/(2E), so r0 = t/(2E) and r_i = q_i/(2*r0) = n_i*K/t.
+        t = _sqrt_ratio(m, 2 * E)
+        if not t:
             continue
-        half = 1 / (2 * r0)
-        root = Quaternion(q.algebra, r0, q.q1 * half, q.q2 * half, q.q3 * half)
+        root = Quaternion(q.algebra, Fraction(t, 2 * E), *[Fraction(n * K, t) for n in pure])
         if root.square() != q:
             raise RuntimeError("non-central root candidate failed re-squaring")
         return root
@@ -242,10 +259,12 @@ def sqrt_central_nonsplit(
     """A root of the central element a in a non-split algebra, or None.
 
     Scalar, i- and j-aligned shortcut roots are tried first. Otherwise a
-    root exists iff the binary forms <a, -alpha> and <beta, -alpha*beta>
-    represent a common value d. Its certificates a*m0^2 - alpha*v^2 = d =
-    beta*l0^2 - alpha*beta*l1^2 give the pure root r = (v*i + l0*j + l1*k)/m0,
-    since r^2 = (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
+    root exists iff Q(sqrt a) embeds, i.e. a is a local square at no place
+    where the algebra ramifies, which factors nothing of a. Then the binary
+    forms <a, -alpha> and <beta, -alpha*beta> represent a common value d.
+    Its certificates a*m0^2 - alpha*v^2 = d = beta*l0^2 - alpha*beta*l1^2
+    give the pure root r = (v*i + l0*j + l1*k)/m0, since
+    r^2 = (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
     """
     a = as_fraction(a)
     if a == 0:
@@ -259,11 +278,13 @@ def sqrt_central_nonsplit(
         root = algebra.quaternion(0, c / alpha, 0, 0)
     elif (c := is_square(a * beta)) is not None:
         root = algebra.quaternion(0, 0, c / beta, 0)
+    elif any(is_local_square(a, v) for v in algebra._ramified):
+        return None
     else:
         A, B = algebra._classes
         found = _common_value((_Classed(a), -A), (B, -(A * B)))
         if found is None:
-            return None
+            raise RuntimeError("no common value where the ramified places admit a root")
         _, (m0, v), (l0, l1) = found
         # m0 = 0 would make (v, l0, l1) a zero of the anisotropic pure norm form.
         root = algebra.quaternion(0, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)

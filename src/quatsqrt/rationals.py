@@ -7,10 +7,12 @@ terms with a positive denominator. No floats anywhere; every answer is exact.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 import re
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -94,7 +96,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of a composite n with no prime factor up to 43
+    """A nontrivial factor of a composite n with no prime factor below 10^4
     (Brent's cycle variant); prime powers included.
 
     The parameter sweep is deterministic so repeated runs factor identically.
@@ -126,19 +128,47 @@ def _pollard_rho(n: int) -> int:
         c += 1
 
 
+_SIEVED = 10**4
+
+
+@cache
+def _small_primes() -> tuple[tuple[int, ...], int, list[tuple[int, tuple[int, ...]]]]:
+    """The primes below 10^4; of those past 43, their product and blocks of 32
+    with their products. Sieved on first use, not at import."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (_SIEVED - 2)
+    for p in range(2, math.isqrt(_SIEVED) + 1):
+        sieve[p * p::p] = bytes(len(range(p * p, _SIEVED, p)))
+    primes = tuple(itertools.compress(range(_SIEVED), sieve))
+    blocks = [primes[i:i + 32] for i in range(len(_MR_BASES), len(primes), 32)]
+    return primes, math.prod(primes[len(_MR_BASES):]), [(math.prod(b), b) for b in blocks]
+
+
 def _factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as an exponent map.
 
-    The primes to 43 are divided out, as `is_prime` would find them first;
-    every cofactor left is proven prime or split by `_pollard_rho`.
+    The primes to 43 are divided out, as `is_prime` would find them first.
+    One gcd with the product of the primes from 47 to 10^4 finds those that
+    divide the cofactor; only the blocks holding them are divided through.
+    A cofactor below 10^8 is then prime, and a larger one is proven prime or
+    split by `_pollard_rho`.
     """
     out: dict[int, int] = {}
     for p in _MR_BASES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return out
+    if n >= 47 * 47:  # below, n is 1 or a prime
+        _, product, blocks = _small_primes()
+        g = math.gcd(n, product)
+        for block_product, block in blocks:
+            if g > 1 and (h := math.gcd(g, block_product)) > 1:
+                g //= h
+                for p in block:
+                    while n % p == 0:
+                        out[p] = out.get(p, 0) + 1
+                        n //= p
+    if n < _SIEVED**2:
+        return out | {n: 1} if n > 1 else out
     stack = [n]
     while stack:
         m = stack.pop()
@@ -302,13 +332,16 @@ def squarefree_part(q: RationalLike) -> tuple[int, Fraction]:
     return s, is_square(as_fraction(q) / s)
 
 
+def _sqrt_ratio(n: int, d: int) -> Optional[int]:
+    """r = isqrt(n*d) when n/d, d > 0 and not necessarily reduced, is the square of r/d."""
+    if n < 0:
+        return None
+    r = math.isqrt(n * d)
+    return r if r * r == n * d else None
+
+
 def is_square(q: RationalLike) -> Optional[Fraction]:
     """The nonnegative exact square root of q, or None when q is not a square."""
     q = as_fraction(q)
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    r = _sqrt_ratio(q.numerator, q.denominator)
+    return None if r is None else Fraction(r, q.denominator)

@@ -119,3 +119,64 @@ def diagonal_zero_search(
         if any(vec) and sum(e * v * v for e, v in zip(ints, vec)) == 0:
             return vec
     return None
+
+
+def trial_division(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by dividing by every d up to sqrt(n)."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+# Quaternions of (alpha, beta | Q) as coordinate 4-tuples of Fractions, by
+# the textbook formulas on Fractions.
+
+def quaternion_product(alpha, beta, p, r):
+    a, b = alpha, beta
+    p0, p1, p2, p3 = p
+    r0, r1, r2, r3 = r
+    return (
+        p0 * r0 + a * p1 * r1 + b * p2 * r2 - a * b * p3 * r3,
+        p0 * r1 + p1 * r0 - b * p2 * r3 + b * p3 * r2,
+        p0 * r2 + p2 * r0 + a * p1 * r3 - a * p3 * r1,
+        p0 * r3 + p3 * r0 + p1 * r2 - p2 * r1,
+    )
+
+
+def quaternion_norm(alpha, beta, q) -> Fraction:
+    q0, q1, q2, q3 = q
+    return q0 * q0 - alpha * q1 * q1 - beta * q2 * q2 + alpha * beta * q3 * q3
+
+
+def quaternion_square(alpha, beta, q):
+    """(2*q0^2 - N(q)) + 2*q0*(pure part of q)."""
+    q0, q1, q2, q3 = q
+    return (2 * q0 * q0 - quaternion_norm(alpha, beta, q), 2 * q0 * q1, 2 * q0 * q2, 2 * q0 * q3)
+
+
+def rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The nonnegative square root of q in Q, or None."""
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+
+def quaternion_sqrt_noncentral(alpha, beta, q):
+    """r with r^2 = q for a non-central q, from r0^2 = (q0 + d)/2 first, then
+    (q0 - d)/2, with d^2 = N(q), and r_i = q_i/(2*r0); or None."""
+    d = rational_sqrt(quaternion_norm(alpha, beta, q))
+    if d is None:
+        return None
+    for r0_squared in ((q[0] + d) / 2, (q[0] - d) / 2):
+        r0 = rational_sqrt(r0_squared)
+        if r0:
+            return (r0, *(x / (2 * r0) for x in q[1:]))
+    return None

@@ -19,7 +19,7 @@ from quatsqrt.places import (
     valuation,
 )
 
-from oracles import local_square_oracle
+from oracles import local_square_oracle, trial_division
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -154,6 +154,13 @@ class TestPrimes:
         first = list(itertools.islice(iter_primes(), 15))
         assert first == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
+    def test_iter_past_the_prime_table(self):
+        import itertools
+
+        # 1229 primes lie below 10^4; the next ones come from is_prime.
+        around = list(itertools.islice(iter_primes(), 1225, 1235))
+        assert around == [p for p in range(9940, 10100) if local_is_prime(p)][:10]
+
 
 class TestSupportPlaces:
     def test_always_has_real_and_two(self):
@@ -185,3 +192,7 @@ class TestSupportPlaces:
         values = [Fraction(3, 5), Fraction(7), Fraction(-12), Fraction(1, 49)]
         support_places(values)
         assert factor_calls == values
+
+
+def local_is_prime(n):
+    return trial_division(n) == {n: 1}

@@ -1,5 +1,6 @@
 """Quaternion arithmetic identities and the four square-root routines."""
 
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import quatsqrt.quaternions as quaternions_module
 import quatsqrt.sqclasses as sqclasses_module
 from quatsqrt.forms import DiagonalForm, is_isotropic
-from quatsqrt.hilbert import _obstruction
-from quatsqrt.places import REAL
+from quatsqrt.hilbert import _obstruction, hilbert_symbol
+from quatsqrt.places import REAL, Place, is_local_square
 from quatsqrt.quaternions import (
     QuaternionAlgebra,
     sqrt,
@@ -23,6 +24,7 @@ from quatsqrt.quaternions import (
 from quatsqrt.rationals import _Classed, _square_class, is_square
 from quatsqrt.sqclasses import _common_value
 
+import oracles
 from oracles import hilbert_oracle_finite, hilbert_oracle_real
 
 H = QuaternionAlgebra(Fraction(-1), Fraction(-1))  # Hamilton
@@ -110,16 +112,16 @@ class TestAlgebra:
         assert A._pure_isotropic_vector is A._pure_isotropic_vector
 
     def test_is_split_is_cached(self, monkeypatch):
-        # sqrt and the central routine's guard both ask; the obstruction place
-        # of (alpha, beta) is sought once per algebra.
+        # sqrt and the central routine's guard both ask; the obstruction places
+        # of (alpha, beta) are sought once per algebra.
         calls = []
-        obstruction = quaternions_module._obstruction
+        obstructions = quaternions_module._obstructions
 
         def counting(a, b):
             calls.append((a[0], b[0]))
-            return obstruction(a, b)
+            return obstructions(a, b)
 
-        monkeypatch.setattr(quaternions_module, "_obstruction", counting)
+        monkeypatch.setattr(quaternions_module, "_obstructions", counting)
         for alpha, beta in ((-1, -1), (1, 1)):
             A = QuaternionAlgebra(Fraction(alpha), Fraction(beta))
             for a in (2, -3, Fraction(7, 5)):
@@ -202,6 +204,59 @@ class TestArithmetic:
     def test_non_quaternion_operands_raise_type_error(self, op):
         with pytest.raises(TypeError):
             op(H.quaternion(1, 2, 3, 4))
+
+
+# Inputs of the integer kernel: alpha and beta negative and non-integer,
+# coordinates over coprime, shared and (30 digits and up) large denominators.
+kernel_params = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4).filter(
+    lambda q: q != 0
+)
+kernel_numerators = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-10**40, 10**40))
+kernel_denominators = st.one_of(st.integers(1, 60), st.integers(10**29, 10**32))
+
+
+@st.composite
+def kernel_coords(draw):
+    shared = draw(kernel_denominators)
+    return tuple(
+        Fraction(draw(kernel_numerators), draw(st.one_of(st.just(shared), kernel_denominators)))
+        for _ in range(4)
+    )
+
+
+kernel_cases = st.tuples(kernel_params, kernel_params, kernel_coords(), kernel_coords())
+
+
+class TestIntegerKernel:
+    """norm, square and products on integers over one denominator agree with
+    the Fraction formulas they replaced (tests/oracles.py)."""
+
+    @given(kernel_cases)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_formulas(self, case):
+        alpha, beta, pc, rc = case
+        A = QuaternionAlgebra(alpha, beta)
+        p, r = A.quaternion(*pc), A.quaternion(*rc)
+        assert p.norm() == oracles.quaternion_norm(alpha, beta, pc)
+        assert p.square().coords == oracles.quaternion_square(alpha, beta, pc)
+        assert (p * r).coords == oracles.quaternion_product(alpha, beta, pc, rc)
+        assert p.square() == p * p
+        assert (p * r).norm() == p.norm() * r.norm()
+
+    @given(kernel_cases)
+    @settings(max_examples=200, deadline=None)
+    def test_sqrt_noncentral_matches_the_fraction_formulas(self, case):
+        alpha, beta, pc, rc = case
+        A = QuaternionAlgebra(alpha, beta)
+        for q in (A.quaternion(*pc), A.quaternion(*rc).square()):
+            if q.is_central:
+                continue
+            expected = oracles.quaternion_sqrt_noncentral(alpha, beta, q.coords)
+            root = sqrt_noncentral(q)
+            assert (root is None) == (expected is None)
+            if root is not None:
+                assert root.coords == expected
+                assert all(type(x) is Fraction for x in root.coords)
 
 
 class TestSqrtNoncentral:
@@ -424,6 +479,49 @@ class TestSqrtCentralNonsplit:
             )
         else:
             assert r.square() == H.scalar(a)
+
+
+class TestRamifiedPlaces:
+    def test_ramified_places(self):
+        assert H._ramified == [REAL, Place.finite(2)]
+        assert B25._ramified == [Place.finite(2), Place.finite(5)]
+        assert M._ramified == []
+
+    @pytest.mark.parametrize("a", [7, Fraction(17, 9), 2 * 10**40 + 1])
+    def test_no_factors_nothing_of_a(self, a, factor_calls):
+        # a > 0 is a square at the real place, where (-1, -1) ramifies.
+        assert sqrt_central_nonsplit(QuaternionAlgebra(-1, -1), Fraction(a)) is None
+        assert factor_calls == [-1, -1]
+
+    def test_agrees_with_the_common_value_search(self):
+        rng = random.Random(11)
+        cases = 0
+        while cases < 300:
+            alpha, beta = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+            if alpha == 0 or beta == 0:
+                continue
+            A = QuaternionAlgebra(alpha, beta)
+            if A.is_split():
+                continue
+            a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 50))
+            cases += 1
+            root = sqrt_central_nonsplit(A, a)
+            if any(is_square(a * x) is not None for x in (1, A.alpha, A.beta)):
+                assert root is not None
+                continue
+            X, Y = A._classes
+            found = _common_value((_Classed(a), -X), (Y, -(X * Y)))
+            assert (root is None) == (found is None)
+            if root is None:
+                # the "no" names a place where the algebra ramifies and a is a local square
+                witnesses = [v for v in A._ramified if is_local_square(a, v)]
+                assert witnesses
+                for v in witnesses:
+                    assert hilbert_symbol(alpha, beta, v) == -1
+                    if v.is_real:
+                        assert a > 0
+                    else:
+                        assert oracles.local_square_oracle(a, v.prime)
 
 
 class TestSqrtDispatcher:

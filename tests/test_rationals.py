@@ -1,5 +1,8 @@
 """Exact arithmetic: parsing, factorization, squarefree parts, square roots."""
 
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,8 @@ from quatsqrt.rationals import (
     parse_rational,
     squarefree_part,
 )
+
+from oracles import trial_division
 
 nonzero_rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**6
@@ -147,7 +152,7 @@ class TestFactor:
         assert factor(n).factors == ((10007, 1), (10099, 1))
 
     def test_prime_powers_go_to_rho(self):
-        # 47 is the least prime not divided out, so these are split by rho.
+        # Primes from 47 to 10^4 are stripped by gcds with their block products.
         for p in filter(is_prime, range(47, 2000)):
             assert factor(p**2).factors == ((p, 2),)
             assert factor(p**3).factors == ((p, 3),)
@@ -188,6 +193,38 @@ class TestFactor:
             Factorization(1, ((2, 0),))  # zero exponent
         with pytest.raises(ValueError):
             Factorization(1, ((4, 1),))  # composite
+
+
+PRIMES_47_TO_10K = [p for p in range(48, 10**4) if trial_division(p) == {p: 1}]
+
+
+class TestFactorSmallPrimes:
+    """The primes in (47, 10^4) are stripped by gcds against block products,
+    and the factorizations match trial division."""
+
+    @given(st.lists(st.sampled_from(PRIMES_47_TO_10K), min_size=1, max_size=5),
+           st.integers(1, 30030))
+    def test_products_of_primes_below_ten_thousand(self, primes, small):
+        for n in (math.prod(primes) * small, math.prod(primes) ** 2):
+            assert rationals._factor_int(n) == trial_division(n)
+
+    @given(st.integers(10**6, 10**11 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_seven_to_eleven_digits(self, n):
+        assert rationals._factor_int(n) == trial_division(n)
+
+    def test_cofactor_below_ten_to_the_eight_is_not_tested(self, monkeypatch):
+        calls = []
+        original = rationals.is_prime
+        monkeypatch.setattr(rationals, "is_prime", lambda n: calls.append(n) or original(n))
+        assert rationals._factor_int(47 * 9973 * 99990001) == {47: 1, 9973: 1, 99990001: 1}
+        assert calls == []
+
+    def test_prime_table_is_built_on_first_use(self):
+        code = ("import quatsqrt, quatsqrt.cli; "
+                "print(quatsqrt.rationals._small_primes.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "0\n")
 
 
 class TestClassed:
