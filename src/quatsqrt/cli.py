@@ -163,11 +163,13 @@ _VALUE_FLAGS = frozenset(
 
 
 def _merge_flag_values(argv: Sequence[str]) -> list[str]:
-    """Join each value flag with its argument so values may start with '-'."""
+    """Join each value flag, or a prefix of one longer than '--' for argparse to
+    resolve, with its argument so values may start with '-'."""
     out: list[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv):
+        value_flag = len(argv[i]) > 2 and any(f.startswith(argv[i]) for f in _VALUE_FLAGS)
+        if value_flag and i + 1 < len(argv):
             out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:

@@ -1,9 +1,9 @@
 """Diagonal quadratic forms over Q: isotropy, conics, represented values.
 
-The computational core is solve_conic for x^2 - alpha*y^2 = c: it either
-proves there is no rational solution by a local (Hilbert symbol)
-obstruction, or reads an exact one off a single lattice reduction of the
-conic's Legendre form (Cremona-Rusin 2003, Simon 2005).
+The computational core is solve_conic for x^2 - alpha*y^2 = c: the
+conic's Legendre form decides solvability by Legendre's conditions, and
+an exact solution is read off a single lattice reduction of that form
+(Cremona-Rusin 2003, Simon 2005).
 
 Values travel as `rationals._Classed`, which carries each one's square
 class (s, primes of s), with s squarefree and value = s*t^2, to every local
@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .hilbert import _hasse, _obstruction, _symbol_squarefree
+from .hilbert import _hasse, _symbol_squarefree
 from .legendre import _legendre_zero
 from .places import Place, _local_classes, _places_over, is_local_square
 from .rationals import RationalLike, _Classed, _times, _Value, as_fraction, is_square
@@ -118,21 +118,20 @@ def _solve_conic(alpha: _Classed, c: _Classed) -> Optional[tuple[Fraction, Fract
     non-square alpha = s_a*t_a^2 and c = s_c*t_c^2 turn x^2 - alpha*y^2 = c
     into the Legendre form g*X^2 - (s_a/g)*Y^2 - (s_c/g)*Z^2 = 0, with
     g = gcd(s_a, s_c), x = t_c*g*X/Z and y = t_c*Y/(t_a*Z); Z != 0 since
-    s_a != 1.
+    s_a != 1; the conic is unsolvable exactly when that form has no zero.
     """
     root = is_square(alpha.q)
     if root is not None:
         x, y = (c.q + 1) / 2, (c.q - 1) / (2 * root)
-    elif _obstruction(alpha.cls, c.cls) is not None:
-        return None
     else:
         (sa, pa), (sc, pc) = alpha.cls, c.cls
         g = math.gcd(sa, sc)
         common = set(pa) & set(pc)
-        X, Y, Z = _legendre_zero(
-            g, -sa // g, -sc // g, common,
-            [p for p in pa if p not in common], [p for p in pc if p not in common],
-        )
+        rest = ([p for p in pa if p not in common], [p for p in pc if p not in common])
+        zero = _legendre_zero(g, -sa // g, -sc // g, common, *rest)
+        if zero is None:
+            return None
+        X, Y, Z = zero
         tc = is_square(c.q / sc)
         x, y = tc * g * X / Z, tc * Y / (is_square(alpha.q / sa) * Z)
     x, y = abs(x), abs(y)
@@ -148,11 +147,11 @@ def solve_conic(
 
     When alpha is a square the conic is a split pair of lines and a solution
     is written down directly, factoring nothing. Otherwise alpha and c are
-    factored once each, solvability is decided by Hilbert symbols at the
-    real place, 2 and the odd primes of the two square classes, and a
-    solution is read off one lattice reduction of the conic's Legendre form
-    (see `legendre._legendre_zero`). The solution has x >= 0 and y >= 0,
-    and leaves through one exact check of the equation.
+    factored once each, solvability is decided by Legendre's conditions,
+    which are the symbols (alpha, c)_v at the real place and the form's
+    primes, and a solution is read off one lattice reduction of the conic's
+    Legendre form (see `legendre._legendre_zero`). The solution has x >= 0
+    and y >= 0, and leaves through one exact check of the equation.
     """
     alpha, c = _Classed(alpha), _Classed(c)
     if alpha.q == 0 or c.q == 0:

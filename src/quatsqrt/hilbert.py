@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .places import Place, _local_classes, _places_over
 from .rationals import RationalLike, _Class, _square_class
@@ -60,11 +60,6 @@ def _symbol_squarefree(sa: int, sb: int, v: Place) -> int:
 def _obstructions(a: _Class, b: _Class) -> Iterator[Place]:
     """The places where the Hilbert symbol of two square classes is -1, ascending."""
     return (v for v in _places_over(a[1] + b[1]) if _symbol_squarefree(a[0], b[0], v) == -1)
-
-
-def _obstruction(a: _Class, b: _Class) -> Optional[Place]:
-    """The first place where the Hilbert symbol of two square classes is -1, or None."""
-    return next(_obstructions(a, b), None)
 
 
 def _hasse(reps: Sequence[int], v: Place) -> int:

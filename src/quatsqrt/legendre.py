@@ -1,12 +1,12 @@
 """Legendre's equation A*X^2 + B*Y^2 + C*Z^2 = 0 over Z, by lattice reduction.
 
-A, B, C are squarefree, pairwise coprime, not all of one sign, and their
-primes are known, so nothing here factors. The zero is read off one
-integral LLL reduction of a lattice of index |ABC| (Cremona and Rusin,
-"Efficient solution of rational conics", Math. Comp. 72, 2003), on which
-Q/(ABC) is unimodular, by splitting off the first reduced vector as in
-D. Simon, "Solving quadratic equations using reduced unimodular quadratic
-forms", Math. Comp. 74, 2005.
+A, B, C are squarefree and pairwise coprime, and their primes are known,
+so nothing here factors. Legendre's criterion decides solvability, and a
+zero is read off one integral LLL reduction of a lattice of index |ABC|
+(Cremona and Rusin, "Efficient solution of rational conics", Math. Comp.
+72, 2003), on which Q/(ABC) is unimodular, by splitting off the first
+reduced vector as in D. Simon, "Solving quadratic equations using reduced
+unimodular quadratic forms", Math. Comp. 74, 2005.
 """
 
 from __future__ import annotations
@@ -53,16 +53,11 @@ def _crt(residues: Iterable[tuple[int, int]]) -> int:
     return r
 
 
-def _root(num: int, den: int, primes: Iterable[int]) -> int:
-    """A square root of num/den modulo the product of distinct primes, den a unit there."""
-
-    def at(p: int) -> int:
-        r = _sqrt_mod_prime(num * pow(den, -1, p), p)
-        if r is None:
-            raise RuntimeError(f"Legendre's condition fails at {p}; the conic was not prechecked")
-        return r
-
-    return _crt((at(p), p) for p in primes)
+def _root(num: int, den: int, primes: Iterable[int]) -> Optional[int]:
+    """A square root of num/den modulo the product of distinct primes, den a
+    unit there, or None when one of the primes has none."""
+    roots = [(_sqrt_mod_prime(num * pow(den, -1, p), p), p) for p in primes]
+    return None if any(r is None for r, _ in roots) else _crt(roots)
 
 
 def _lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[int]]:
@@ -116,11 +111,13 @@ def _lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[in
 
 def _legendre_zero(
     A: int, B: int, C: int, pa: Iterable[int], pb: Iterable[int], pc: Iterable[int]
-) -> tuple[int, int, int]:
-    """A nonzero zero of Q = A*X^2 + B*Y^2 + C*Z^2, given that Q is isotropic.
+) -> Optional[tuple[int, int, int]]:
+    """A nonzero zero of Q = A*X^2 + B*Y^2 + C*Z^2, or None when Q is anisotropic.
 
     pa, pb, pc are the primes of A, B, C; m = |ABC|, N = |A|X^2 + |B|Y^2 +
-    |C|Z^2 is Q's majorant and G = Q/(ABC).
+    |C|Z^2 is Q's majorant and G = Q/(ABC). For A, B, C squarefree and
+    pairwise coprime, Legendre's theorem: Q is isotropic iff not all of one
+    sign and the roots of step 1 exist; 2 follows by the product formula.
     1. Roots of -C/B mod A, -C/A mod B, -B/A mod C give the lattice L of
        Y = lam*Z mod A, X = mu*Z mod B, X = nu*Y mod C, of index m. Q and its
        bilinear form are divisible by m on L, so G is integral and
@@ -141,8 +138,12 @@ def _legendre_zero(
     So the zero is k1*b1 + k2*b2 + k3*b3 with |k1| <= 2 and |k2|, |k3| <= 1:
     N(zero) <= 25*m, and N(zero) <= (50/37)*m when it is b1.
     """
-    bc = abs(B * C)
+    if min(A, B, C) > 0 or max(A, B, C) < 0:
+        return None
     lam, mu, nu = _root(-C, B, pa), _root(-C, A, pb), _root(-B, A, pc)
+    if None in (lam, mu, nu):
+        return None
+    bc = abs(B * C)
     b1, b2, b3 = _lll(
         [
             (bc, 0, 0),

@@ -18,7 +18,7 @@ from .forms import DiagonalForm, _isotropic_at, _solve_conic, _universal
 from .hilbert import _obstructions
 from .places import Place, is_local_square
 from .rationals import RationalLike, _Classed, _sqrt_ratio, _Value, as_fraction, is_square
-from .sqclasses import _common_value
+from .sqclasses import _search_common_value
 
 
 class QuaternionAlgebra(_Value):
@@ -261,7 +261,8 @@ def sqrt_central_nonsplit(
     Scalar, i- and j-aligned shortcut roots are tried first. Otherwise a
     root exists iff Q(sqrt a) embeds, i.e. a is a local square at no place
     where the algebra ramifies, which factors nothing of a. Then the binary
-    forms <a, -alpha> and <beta, -alpha*beta> represent a common value d.
+    forms <a, -alpha> and <beta, -alpha*beta>, anisotropic since neither
+    a*alpha nor alpha is a square, have a common value d for the search.
     Its certificates a*m0^2 - alpha*v^2 = d = beta*l0^2 - alpha*beta*l1^2
     give the pure root r = (v*i + l0*j + l1*k)/m0, since
     r^2 = (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
@@ -282,10 +283,7 @@ def sqrt_central_nonsplit(
         return None
     else:
         A, B = algebra._classes
-        found = _common_value((_Classed(a), -A), (B, -(A * B)))
-        if found is None:
-            raise RuntimeError("no common value where the ramified places admit a root")
-        _, (m0, v), (l0, l1) = found
+        _, (m0, v), (l0, l1) = _search_common_value((_Classed(a), -A), (B, -(A * B)))
         # m0 = 0 would make (v, l0, l1) a zero of the anisotropic pure norm form.
         root = algebra.quaternion(0, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)
     if root.square() != algebra.scalar(a):

@@ -6,6 +6,8 @@ supported on a finite prime set; representability at each relevant place
 turns into a linear condition over GF(2), and the system is grown by
 appending primes until it becomes solvable. _common_value hands back the
 certificates too, (d, represents(xi, d), represents(zeta, d)), for reuse.
+It decides existence, and its search, _search_common_value, takes only
+two anisotropic forms whose values are known to meet.
 
 The system is built once over the starting places (real, 2, the entries'
 primes) and columns (-1, the starting primes), each row kept sparse as the
@@ -192,10 +194,12 @@ def _common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> Optional[
     for form, other in ((xi, zeta), (zeta, xi)):
         if is_square(-form[0].q * form[1].q) is not None:
             return _certified(xi, zeta, other[0])
-    (x0, x1), (z0, z1) = xi, zeta
-    if not _isotropic([x0, x1, -z0, -z1]):
-        return None
-    start = sorted({2, *(p for x in (x0, x1, z0, z1) for p in x.cls[1])})
+    return _search_common_value(xi, zeta) if _isotropic([*xi, -zeta[0], -zeta[1]]) else None
+
+
+def _search_common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> _Certified:
+    """The GF(2) search, for two anisotropic forms whose values meet."""
+    start = sorted({2, *(p for x in (*xi, *zeta) for p in x.cls[1])})
     places = _places_over(start)
     columns = [-1, *start]
     # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree

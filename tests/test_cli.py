@@ -141,6 +141,22 @@ class TestSubcommands:
         b = invoke("sqrt", "--alpha", "-1", "--beta", "-1", "--q", "0,2,0,0")
         assert a == b
 
+    @pytest.mark.parametrize(
+        "abbreviated, full",
+        [
+            ("conic --alph -3/2 --c 1", "conic --alpha -3/2 --c 1"),
+            ("sqrt --al -1/3 --be -1 --q 0,2,0,0", "sqrt --alpha -1/3 --beta -1 --q 0,2,0,0"),
+            ("sqrt --alp -2/2 --b -1/1 --q 0,2,0,0", "sqrt --alpha -2/2 --beta -1/1 --q 0,2,0,0"),
+            ("hilbert --a -1 --b -1 --pl inf", "hilbert --a -1 --b -1 --place inf"),
+            ("common-value --x -2,1 --z -1,-1", "common-value --xi -2,1 --zeta -1,-1"),
+            ("isotropic --fo -1,-1,2", "isotropic --form -1,-1,2"),
+        ],
+    )
+    def test_abbreviated_flags_read_like_the_full_ones(self, abbreviated, full):
+        # argparse takes unique prefixes of a flag, also before a value starting with '-'.
+        assert invoke(*abbreviated.split()) == invoke(*full.split())
+        assert invoke(*full.split())[1]
+
 
 class TestReadme:
     def test_readme_cli_block_prints_as_shown(self):

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quatsqrt.forms as forms_module
+import quatsqrt.hilbert as hilbert_module
 import quatsqrt.legendre as legendre_module
 from quatsqrt.forms import (
     DiagonalForm,
@@ -187,6 +188,8 @@ class TestSolveConic:
 
     @given(wide_rationals, wide_rationals)
     @settings(max_examples=100, deadline=None)
+    @example(Fraction(-1), Fraction(-1))  # obstructed at the real place and 2 only
+    @example(Fraction(3), Fraction(-177))  # at 2 and at 3 = gcd(3, -177) only
     def test_none_iff_a_symbol_obstructs(self, alpha, c):
         obstructed = any(
             hilbert_symbol(alpha, c, v) == -1 for v in support_places((alpha, c))
@@ -197,6 +200,31 @@ class TestSolveConic:
     @settings(max_examples=30)
     def test_deterministic(self, alpha, c):
         assert solve_conic(alpha, c) == solve_conic(alpha, c)
+
+    @pytest.mark.parametrize(
+        "alpha, c, solvable",
+        [
+            (2, Fraction(1, 2), True),
+            (-5, 6, True),
+            (Fraction(-42921, 29), Fraction(4991015585, 14036), True),
+            (Fraction(-42921, 29), 7, False),
+            (-1, -1, False),
+            (3, -177, False),
+        ],
+    )
+    def test_evaluates_no_hilbert_symbol(self, alpha, c, solvable, monkeypatch):
+        # Legendre's conditions alone decide solvability, on both answers.
+        calls = []
+        symbol = hilbert_module._symbol_squarefree
+
+        def counting(*args):
+            calls.append(args)
+            return symbol(*args)
+
+        for module in (hilbert_module, forms_module):
+            monkeypatch.setattr(module, "_symbol_squarefree", counting)
+        assert (solve_conic(alpha, c) is not None) is solvable
+        assert calls == []
 
     def test_square_alpha_always_solvable(self):
         for alpha in (Fraction(1), Fraction(4), Fraction(9, 16)):
@@ -340,6 +368,14 @@ class TestLegendreZero:
         assert majorant((X, Y, Z)) <= 25 * m
         if reading(call) == "b1":
             assert 37 * majorant((X, Y, Z)) <= 50 * m
+
+    @pytest.mark.parametrize(
+        "form, primes",
+        [((1, 1, 1), ([], [], [])), ((1, 1, -3), ([], [], [3]))],
+    )
+    def test_none_when_anisotropic(self, form, primes):
+        # One sign fails at the real place; -1 has no square root mod 3.
+        assert legendre_module._legendre_zero(*form, *primes) is None
 
     @pytest.mark.parametrize(
         "alpha, c, branch, solution",

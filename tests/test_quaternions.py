@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import quatsqrt.quaternions as quaternions_module
 import quatsqrt.sqclasses as sqclasses_module
 from quatsqrt.forms import DiagonalForm, is_isotropic
-from quatsqrt.hilbert import _obstruction, hilbert_symbol
+from quatsqrt.hilbert import hilbert_symbol
 from quatsqrt.places import REAL, Place, is_local_square
 from quatsqrt.quaternions import (
     QuaternionAlgebra,
@@ -21,7 +21,7 @@ from quatsqrt.quaternions import (
     sqrt_central_split,
     sqrt_noncentral,
 )
-from quatsqrt.rationals import _Classed, _square_class, is_square
+from quatsqrt.rationals import _Classed, is_square
 from quatsqrt.sqclasses import _common_value
 
 import oracles
@@ -101,7 +101,7 @@ class TestAlgebra:
         if A.is_split():
             assert A.pure_norm_form()(A._pure_isotropic_vector) == 0
         else:
-            v = _obstruction(_square_class(alpha), _square_class(beta))
+            v = A._ramified[0]
             if v.is_real:
                 assert hilbert_oracle_real(alpha, beta) == -1
             else:
@@ -434,6 +434,21 @@ class TestSqrtCentralNonsplit:
         A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
         assert sqrt_central_nonsplit(A, Fraction(a)) is not None
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
+    def test_no_isotropy_test_per_root(self, params, a, root, monkeypatch):
+        # The ramified places decide that a root exists; the search only finds it.
+        calls = []
+        isotropic = sqclasses_module._isotropic
+
+        def counting(entries):
+            calls.append(entries)
+            return isotropic(entries)
+
+        monkeypatch.setattr(sqclasses_module, "_isotropic", counting)
+        A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
+        assert sqrt_central_nonsplit(A, Fraction(a)) is not None
+        assert calls == []
 
     @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
     def test_factors_only_the_forms_entries(self, params, a, root, factor_calls):

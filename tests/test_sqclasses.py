@@ -233,6 +233,19 @@ class TestCommonValue:
     def test_empty_intersection(self):
         assert common_value(DiagonalForm((1, 1)), DiagonalForm((-1, -1))) is None
 
+    def test_empty_intersection_decided_by_one_isotropy_test(self, monkeypatch):
+        # <1, 1, -3, -3> is anisotropic at 3, so the search never starts.
+        calls = []
+        isotropic = sqclasses._isotropic
+
+        def counting(entries):
+            calls.append(entries)
+            return isotropic(entries)
+
+        monkeypatch.setattr(sqclasses, "_isotropic", counting)
+        assert common_value(DiagonalForm((1, 1)), DiagonalForm((3, 3))) is None
+        assert len(calls) == 1
+
     def test_isotropic_shortcut(self):
         # -x0*x1 a square: xi is universal, so z0 itself is returned
         assert common_value(DiagonalForm((1, -1)), DiagonalForm((3, 5))) == 3
