@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 from .hilbert import _hasse, _symbol_squarefree
 from .legendre import _legendre_zero
 from .places import Place, _local_classes, _places_over, is_local_square
-from .rationals import RationalLike, _Classed, _times, _Value, as_fraction, is_square
+from .rationals import RationalLike, _Classed, _sqrt_ratio, _times, _Value, as_fraction, is_square
 
 Vector = tuple[Fraction, ...]
 
@@ -122,22 +122,26 @@ def _solve_conic(alpha: _Classed, c: _Classed) -> Optional[tuple[Fraction, Fract
     """
     root = is_square(alpha.q)
     if root is not None:
-        x, y = (c.q + 1) / 2, (c.q - 1) / (2 * root)
-    else:
-        (sa, pa), (sc, pc) = alpha.cls, c.cls
-        g = math.gcd(sa, sc)
-        common = set(pa) & set(pc)
-        rest = ([p for p in pa if p not in common], [p for p in pc if p not in common])
-        zero = _legendre_zero(g, -sa // g, -sc // g, common, *rest)
-        if zero is None:
-            return None
-        X, Y, Z = zero
-        tc = is_square(c.q / sc)
-        x, y = tc * g * X / Z, tc * Y / (is_square(alpha.q / sa) * Z)
-    x, y = abs(x), abs(y)
-    if x * x - alpha.q * y * y != c.q:
+        x, y = abs((c.q + 1) / 2), abs((c.q - 1) / (2 * root))
+        if x * x - alpha.q * y * y != c.q:
+            raise RuntimeError("conic solution failed its exact check")
+        return x, y
+    (sa, pa), (sc, pc) = alpha.cls, c.cls
+    g = math.gcd(sa, sc)
+    common = set(pa) & set(pc)
+    rest = ([p for p in pa if p not in common], [p for p in pc if p not in common])
+    zero = _legendre_zero(g, -sa // g, -sc // g, common, *rest)
+    if zero is None:
+        return None
+    # On ints: t_a = ra/da and t_c = rc/dc, the roots of alpha/s_a and c/s_c
+    # read off their unreduced pairs, and x = xn/xd, y = yn/yd.
+    (X, Y, Z), (an, ad), (cn, cd) = zero, alpha.q.as_integer_ratio(), c.q.as_integer_ratio()
+    da, dc = ad * abs(sa), cd * abs(sc)
+    ra, rc = _sqrt_ratio(abs(an), da), _sqrt_ratio(abs(cn), dc)
+    xn, xd, yn, yd = abs(rc * g * X), dc * abs(Z), abs(rc * Y * da), dc * abs(ra * Z)
+    if (xn * xn * yd * yd * ad - an * yn * yn * xd * xd) * cd != cn * ad * (xd * yd) ** 2:
         raise RuntimeError("conic solution failed its exact check")
-    return x, y
+    return Fraction(xn, xd), Fraction(yn, yd)
 
 
 def solve_conic(

@@ -2,11 +2,12 @@
 
 A, B, C are squarefree and pairwise coprime, and their primes are known,
 so nothing here factors. Legendre's criterion decides solvability, and a
-zero is read off one integral LLL reduction of a lattice of index |ABC|
-(Cremona and Rusin, "Efficient solution of rational conics", Math. Comp.
-72, 2003), on which Q/(ABC) is unimodular, by splitting off the first
-reduced vector as in D. Simon, "Solving quadratic equations using reduced
-unimodular quadratic forms", Math. Comp. 74, 2005.
+zero is read off one integral LLL reduction, unrolled for rank 3, of a
+lattice in Z^3 of index |ABC| (Cremona and Rusin, "Efficient solution of
+rational conics", Math. Comp. 72, 2003), on which Q/(ABC) is unimodular,
+by splitting off the first reduced vector as in D. Simon, "Solving
+quadratic equations using reduced unimodular quadratic forms", Math.
+Comp. 74, 2005.
 """
 
 from __future__ import annotations
@@ -60,53 +61,47 @@ def _root(num: int, den: int, primes: Iterable[int]) -> Optional[int]:
     return None if any(r is None for r, _ in roots) else _crt(roots)
 
 
-def _lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[int]]:
-    """LLL-reduce a lattice basis under the form sum w_i*x_i^2, all w_i > 0.
+def _lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[Sequence[int], ...]:
+    """LLL-reduce a rank-3 lattice basis under the form sum w_i*x_i^2, all w_i > 0.
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) with delta = 99/100. The Gram-Schmidt data are the integers
-    d[k + 1] (the Gram determinant of b[0..k]) and lam[k][j], so every step
-    is exact; they are computed once and updated by each reduction and swap.
+    Alg. 2.6.7) with delta = 99/100, unrolled for three vectors b0, b1, b2.
+    The Gram-Schmidt data are the integers d1, d2, d3 (the Gram determinants
+    of b0, of b0 and b1, of all three) and l10, l20, l21, so every step is
+    exact; they are computed once and updated by each reduction and swap.
+    Each pass size-reduces b1 and tests it, then b2; a swap at either
+    restarts the pass, as k = max(k - 1, 1) does in the algorithm.
     """
-    b = [list(v) for v in basis]
-    n = len(b)
-    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k + 1):
-            u = sum(w * x * y for w, x, y in zip(weights, b[k], b[j]))
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            lam[k][j] = u
-        d[k + 1] = lam[k][k]
-
-    def reduce(k: int, j: int) -> None:
-        if 2 * abs(lam[k][j]) > d[j + 1]:
-            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest to lam/d
-            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-            for i in range(j):
-                lam[k][i] -= q * lam[j][i]
-            lam[k][j] -= q * d[j + 1]
-
-    k = 1
-    while k < n:
-        reduce(k, k - 1)
-        t = lam[k][k - 1]
-        if 100 * (d[k + 1] * d[k - 1] + t * t) >= 99 * d[k] ** 2:
-            for j in range(k - 2, -1, -1):
-                reduce(k, j)
-            k += 1
+    (b0, b1, b2), (w0, w1, w2) = basis, weights
+    (d1, l10, l20), (_, g11, g12), (_, _, g22) = (
+        [w0 * u[0] * v[0] + w1 * u[1] * v[1] + w2 * u[2] * v[2] for v in basis] for u in basis
+    )
+    d2, l21 = d1 * g11 - l10 * l10, d1 * g12 - l20 * l10
+    d3 = (d2 * (d1 * g22 - l20 * l20) - l21 * l21) // d1
+    while True:
+        if 2 * abs(l10) > d1:
+            q = (2 * l10 + d1) // (2 * d1)  # nearest to l10/d1
+            b1 = (b1[0] - q * b0[0], b1[1] - q * b0[1], b1[2] - q * b0[2])
+            l10 -= q * d1
+        if 100 * (d2 + l10 * l10) < 99 * d1 * d1:
+            b0, b1 = b1, b0
+            new = (d2 + l10 * l10) // d1
+            l21, s = (d2 * l20 - l10 * l21) // d1, l21
+            l20 = (new * s + l10 * l21) // d2
+            d1 = new
             continue
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        new = (d[k - 1] * d[k + 1] + t * t) // d[k]
-        for i in range(k + 1, n):
-            s = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
-            lam[i][k - 1] = (new * s + t * lam[i][k]) // d[k + 1]
-        d[k] = new
-        k = max(k - 1, 1)
-    return b
+        if 2 * abs(l21) > d2:
+            q = (2 * l21 + d2) // (2 * d2)
+            b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1], b2[2] - q * b1[2])
+            l20 -= q * l10
+            l21 -= q * d2
+        if 100 * (d3 * d1 + l21 * l21) >= 99 * d2 * d2:
+            if 2 * abs(l20) > d1:
+                q = (2 * l20 + d1) // (2 * d1)
+                b2 = (b2[0] - q * b0[0], b2[1] - q * b0[1], b2[2] - q * b0[2])
+            return b0, b1, b2
+        b1, b2, l10, l20 = b2, b1, l20, l10
+        d2 = (d1 * d3 + l21 * l21) // d2
 
 
 def _legendre_zero(
@@ -160,7 +155,7 @@ def _legendre_zero(
         return [x + y for x, y in zip(u, v)]
 
     eps = g(b1, b1)
-    found: Optional[list[int]] = b1
+    found: Optional[Sequence[int]] = b1
     if eps:
         c2, c3 = ([x - eps * g(b, b1) * y for x, y in zip(b, b1)] for b in (b2, b3))
         if eps == -1:

@@ -11,13 +11,14 @@ two anisotropic forms whose values are known to meet.
 
 The system is built once over the starting places (real, 2, the entries'
 primes) and columns (-1, the starting primes), each row kept sparse as the
-set of columns whose symbol is -1 plus its rhs bit. An appended prime q adds
-only its column's entries at the starting places: everything else at q is a
-symbol of two units, +1, so q's own row is (D, q)_q with rhs 0. If that is
--1 for either discriminant D, q's exponent is forced to 0 and q can change
-neither solvability nor the solution, so it is skipped without a solve and
-not counted toward the prime-append cap. Columns stay ascending, so
-Gauss-Jordan picks the d a system rebuilt every round would pick.
+set of columns whose symbol is -1 plus its rhs bit. A symbol of two p-units
+at an odd p is +1. So a starting row at an odd p that does not divide its
+discriminant D reads only column p; an appended prime q adds its column's
+entries only at the other starting rows, and q's own row is (D, q)_q with
+rhs 0. If that is -1 for either D, q's exponent is forced to 0 and q can
+change neither solvability nor the solution, so it is skipped without a
+solve and not counted toward the prime-append cap. Columns stay ascending,
+so Gauss-Jordan picks the d a system rebuilt every round would pick.
 """
 
 from __future__ import annotations
@@ -126,6 +127,13 @@ class GF2System(_Value):
             raise ValueError("rhs entries must be bits")
         self._set(rows, rhs, ncols)
 
+    @classmethod
+    def _unchecked(cls, rows: tuple[int, ...], rhs: tuple[int, ...], ncols: int) -> "GF2System":
+        """A system whose caller has built its masks inside ncols and its rhs as bits."""
+        system = object.__new__(cls)
+        system._set(rows, rhs, ncols)
+        return system
+
 
 def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:
     """One solution of the system (free variables set to 0), or None.
@@ -206,19 +214,21 @@ def _search_common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> _C
     # parts stand for the six classes, so no round factors anything.
     (sx0, sx1), (sz0, sz1) = ((b0.cls[0], b1.cls[0]) for b0, b1 in (xi, zeta))
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
-    # One row per discriminant and starting place: the columns whose symbol
-    # is -1, and the rhs bit.
+    # One row per discriminant and starting place: whether it is wide (v is
+    # real, 2 or a prime of disc), the rhs bit, the columns whose symbol is -1.
     rows = [
-        (disc, v, {c for c in columns if _symbol_squarefree(disc, c, v) == -1},
-         _bit(_symbol_squarefree(b0, b1, v)))
+        (disc, v, wide, _bit(_symbol_squarefree(b0, b1, v)),
+         {c for c in (columns if wide else (v.prime,)) if _symbol_squarefree(disc, c, v) == -1})
         for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1))
         for v in places
+        for wide in [v.prime in (None, 2) or disc % v.prime == 0]
     ]
     appended = (q for q in iter_primes() if q not in start)
     for counted in itertools.count():
         index = {c: k for k, c in enumerate(columns)}
-        live = [(sum(1 << index[c] for c in neg), b) for _, _, neg, b in rows if neg or b]
-        eps = solve_gf2(GF2System(tuple(m for m, _ in live), tuple(b for _, b in live), len(columns)))
+        live = [(sum(1 << index[c] for c in neg), b) for _, _, _, b, neg in rows if neg or b]
+        masks, bits = tuple(m for m, _ in live), tuple(b for _, b in live)
+        eps = solve_gf2(GF2System._unchecked(masks, bits, len(columns)))
         if eps is not None:
             return _certified(xi, zeta, _Classed._squarefree([c for c, e in zip(columns, eps) if e]))
         if counted == _PRIME_APPEND_CAP:
@@ -230,7 +240,7 @@ def _search_common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> _C
             q for q in appended
             if all(_symbol_squarefree(disc, q, Place._unchecked(q)) == 1 for disc in (sx, sz))
         )
-        for disc, v, neg, _ in rows:
-            if _symbol_squarefree(disc, q, v) == -1:
+        for disc, v, wide, _, neg in rows:
+            if wide and _symbol_squarefree(disc, q, v) == -1:
                 neg.add(q)
         bisect.insort(columns, q)

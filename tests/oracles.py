@@ -2,7 +2,9 @@
 
 Nothing here calls into the package: Hilbert symbols are settled by
 congruence searches, local squares by residue scans, isotropy by integer
-vector searches. Slow but screamingly simple.
+vector searches. Slow but screamingly simple. The rest are the plainer
+code that package kernels were specialized from: quaternion formulas and
+conic back-substitution on Fractions, and LLL for any rank.
 """
 
 from __future__ import annotations
@@ -180,3 +182,65 @@ def quaternion_sqrt_noncentral(alpha, beta, q):
         if r0:
             return (r0, *(x / (2 * r0) for x in q[1:]))
     return None
+
+
+def conic_back_substitution(alpha, c, form, zero) -> tuple[Fraction, Fraction]:
+    """(x, y) >= 0 with x^2 - alpha*y^2 = c from a zero (X, Y, Z) of its
+    Legendre form (g, -s_a/g, -s_c/g), where alpha = s_a*t_a^2 and c =
+    s_c*t_c^2 with s_a, s_c squarefree and g = gcd(s_a, s_c): x = t_c*g*X/Z
+    and y = t_c*Y/(t_a*Z), on Fractions."""
+    (g, B, C), (X, Y, Z) = form, zero
+    ta, tc = rational_sqrt(alpha / (-g * B)), rational_sqrt(c / (-g * C))
+    return abs(tc * g * X / Z), abs(tc * Y / (ta * Z))
+
+
+# The integral LLL for any rank, as `legendre._lll` was before it was
+# unrolled for rank 3; that one must return the same basis.
+
+def lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[int]]:
+    """LLL-reduce a lattice basis under the form sum w_i*x_i^2, all w_i > 0.
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7) with delta = 99/100. The Gram-Schmidt data are the integers
+    d[k + 1] (the Gram determinant of b[0..k]) and lam[k][j], so every step
+    is exact; they are computed once and updated by each reduction and swap.
+    """
+    b = [list(v) for v in basis]
+    n = len(b)
+    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(w * x * y for w, x, y in zip(weights, b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = lam[k][k]
+
+    def reduce(k: int, j: int) -> None:
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest to lam/d
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
+            lam[k][j] -= q * d[j + 1]
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        t = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + t * t) >= 99 * d[k] ** 2:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        new = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            s = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
+            lam[i][k - 1] = (new * s + t * lam[i][k]) // d[k + 1]
+        d[k] = new
+        k = max(k - 1, 1)
+    return b

@@ -25,6 +25,7 @@ from quatsqrt.legendre import _sqrt_mod_prime
 from quatsqrt.places import REAL, Place, is_local_square, support_places
 from quatsqrt.rationals import _square_class, is_square
 
+import oracles
 from oracles import diagonal_zero_search, ternary_zero_search
 
 nonzero_rationals = st.fractions(
@@ -240,6 +241,21 @@ class TestSolveConic:
         with pytest.raises(RuntimeError, match="exact check"):
             solve_conic(Fraction(4), Fraction(5))
 
+    @pytest.mark.parametrize(
+        "alpha, c", [(2, Fraction(1, 2)), (Fraction(-42921, 29), Fraction(4991015585, 14036))]
+    )
+    def test_legendre_solution_is_checked(self, alpha, c, monkeypatch):
+        # A wrong zero of a non-square alpha's Legendre form must raise too.
+        zero = forms_module._legendre_zero
+
+        def wrong(*args):
+            X, Y, Z = zero(*args)
+            return X + 1, Y, Z
+
+        monkeypatch.setattr(forms_module, "_legendre_zero", wrong)
+        with pytest.raises(RuntimeError, match="exact check"):
+            solve_conic(alpha, c)
+
 
 class TestFactorOnce:
     """One call factors alpha and c, once each, and nothing else: every prime
@@ -436,6 +452,60 @@ class TestLegendreZero:
             sympy_digits += sum(len(str(abs(v))) for v in theirs)
         assert answered >= 30
         assert ours_digits <= sympy_digits
+
+
+# Lattices of the shape `_legendre_zero` reduces: (m, 0, 0), (x, a, 0),
+# (y, l, 1) with 0 <= x, y < m and 0 <= l < |a|, under positive weights;
+# entries up to 80 bits, and often 8, where the boundary cases are dense.
+bits80 = st.one_of(st.integers(1, 2**8), st.integers(1, 2**80))
+
+
+@st.composite
+def hnf_lattices(draw):
+    m, a = draw(bits80), draw(bits80) * draw(st.sampled_from((1, -1)))
+    x, y = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    lam = draw(st.integers(0, abs(a) - 1))
+    return [(m, 0, 0), (x, a, 0), (y, lam, 1)], draw(st.tuples(bits80, bits80, bits80))
+
+
+class TestIntegerConicKernels:
+    """The rank-3 LLL and the back-substitution on ints agree with the
+    generic LLL and the Fraction formulas they replaced (tests/oracles.py)."""
+
+    @given(hnf_lattices())
+    @example(([(5, 0, 0), (2, 1, 0), (3, 0, 1)], (1, 1, 1)))
+    @example(([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2**80, 2**40, 1)))
+    # Each of these tells delta = 99/100 from 98/100 at k = 2 and k = 1, or
+    # reduces l10 or l20 with 2|l| = d + 1 exactly.
+    @example(([(107, 0, 0), (31, 158, 0), (46, 20, 1)], (144, 46, 230)))
+    @example(([(138, 0, 0), (42, 98, 0), (113, 74, 1)], (76, 135, 236)))
+    @example(([(83, 0, 0), (17, -215, 0), (18, 20, 1)], (170, 8, 7)))
+    @example(([(222, 0, 0), (64, 26, 0), (60, 25, 1)], (226, 51, 162)))
+    @settings(max_examples=300, deadline=None)
+    def test_rank3_lll_matches_the_generic_one(self, lattice):
+        basis, weights = lattice
+        assert legendre_module._lll(basis, weights) == tuple(map(tuple, oracles.lll(basis, weights)))
+
+    @given(planted_conics())
+    @settings(max_examples=200, deadline=None)
+    def test_back_substitution_matches_the_fraction_formulas(self, conic):
+        alpha, c = conic
+        lll, lattices = legendre_module._lll, []
+
+        def compared(basis, weights):
+            lattices.append(basis)
+            reduced = lll(basis, weights)
+            assert reduced == tuple(map(tuple, oracles.lll(basis, weights)))
+            return reduced
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(legendre_module, "_lll", compared)
+            seen = record_legendre(mp)
+            x, y = solve_conic(alpha, c)
+        (call,) = seen
+        assert len(lattices) == 1
+        assert (x, y) == oracles.conic_back_substitution(alpha, c, call["form"], call["zero"])
+        assert type(x) is type(y) is Fraction
 
 
 class TestIsotropicVector:

@@ -184,6 +184,11 @@ class TestSolveGF2:
         sol = solve_gf2(GF2System((0b110,), (1,), 3))
         assert sol == (0, 1, 0)
 
+    def test_unchecked_is_the_same_system(self):
+        args = ((0b011, 0b110), (1, 0), 3)
+        assert GF2System._unchecked(*args) == GF2System(*args)
+        assert solve_gf2(GF2System._unchecked(*args)) == solve_gf2(GF2System(*args)) == (1, 0, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GF2System((1,), (1, 0), 1)
@@ -325,6 +330,38 @@ class TestCommonValue:
         assert len(solves) <= len(counted) + 1
         if (xi, zeta) == CAP_PAIR:
             assert len(counted) < _PRIME_APPEND_CAP < len(appended)
+
+    @pytest.mark.parametrize("xi, zeta", PINNED_PAIRS + [CAP_PAIR])
+    def test_evaluates_no_symbol_of_two_odd_units(self, xi, zeta, monkeypatch):
+        # (a, b)_p = +1 for p-units a and b at an odd p. Of those, the search
+        # reads only the forms' own rhs symbols (b0, b1)_p.
+        seen = []
+
+        def counting(a, b, v):
+            seen.append((a, b, v))
+            return _symbol_squarefree(a, b, v)
+
+        monkeypatch.setattr(sqclasses, "_symbol_squarefree", counting)
+        assert _common_value(*classed(DiagonalForm(xi), DiagonalForm(zeta))) is not None
+        entries = {tuple(_square_class(x)[0] for x in form) for form in (xi, zeta)}
+        units = [
+            (a, b, v) for a, b, v in seen
+            if v.prime not in (None, 2) and a % v.prime and b % v.prime and (a, b) not in entries
+        ]
+        assert units == []
+
+    def test_rounds_revalidate_no_system(self, monkeypatch):
+        # Each round's system is built unchecked; solve_gf2 still solves it.
+        checked = []
+        init = GF2System.__init__
+
+        def counting(self, *args):
+            checked.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(GF2System, "__init__", counting)
+        assert _common_value(*classed(*map(DiagonalForm, CAP_PAIR)))[0] == 420690
+        assert checked == []
 
     @pytest.mark.parametrize(
         "xi, zeta, d",
