@@ -190,21 +190,13 @@ def isotropic_to_universal(
         raise ValueError("the isotropic vector must be nonzero")
     if form(vec) != 0:
         raise ValueError("vector is not isotropic for the form")
-    out = _universal(form.entries, vec, target)
+    entries = form.entries
+    i = next(k for k, x in enumerate(vec) if x != 0)
+    scale = (target - entries[i]) / (2 * entries[i] * vec[i])
+    out = tuple((Fraction(1) if k == i else Fraction(0)) + scale * x for k, x in enumerate(vec))
     if form(out) != target:
         raise RuntimeError("universal representation failed to hit the target")
     return out
-
-
-def _universal(entries: Sequence[Fraction], vec: Vector, target: Fraction) -> Vector:
-    """isotropic_to_universal for a checked isotropic vec, its result unchecked:
-    for a caller that checks what it builds from W."""
-    i = next(k for k, (ak, vk) in enumerate(zip(entries, vec)) if ak * vk != 0)
-    scale = (target - entries[i]) / (2 * entries[i] * vec[i])
-    return tuple(
-        (Fraction(1) if k == i else Fraction(0)) + scale * vec[k]
-        for k in range(len(entries))
-    )
 
 
 def represents(form: DiagonalForm, d: RationalLike) -> Optional[tuple[Fraction, Fraction]]:

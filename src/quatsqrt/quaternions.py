@@ -14,11 +14,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .forms import DiagonalForm, _isotropic_at, _solve_conic, _universal
+from .forms import DiagonalForm, _isotropic_at, _solve_conic
 from .hilbert import _obstructions
 from .places import Place, is_local_square
 from .rationals import RationalLike, _Classed, _sqrt_ratio, _Value, as_fraction, is_square
 from .sqclasses import _search_common_value
+
+_ZERO = Fraction(0)
 
 
 class QuaternionAlgebra(_Value):
@@ -101,6 +103,16 @@ class QuaternionAlgebra(_Value):
             raise RuntimeError("isotropic vector construction failed")
         return vec
 
+    @cached_property
+    def _pure_ints(self) -> tuple[int, tuple[int, int, int], tuple[int, int, int], int]:
+        """(F, E, N, i) for split roots: F = den(alpha)*den(beta), E = F * the pure norm
+        form's entries, N/M = the isotropic vector, i the first k with N_k != 0."""
+        an, ad, bn, bd = self._ints
+        vec = self._pure_isotropic_vector
+        M = math.lcm(*[x.denominator for x in vec])
+        N = tuple([x.numerator * (M // x.denominator) for x in vec])
+        return ad * bd, (-an * bd, -bn * ad, an * bn), N, next(k for k, n in enumerate(N) if n)
+
 
 class Quaternion(_Value):
     """An element q0 + q1*i + q2*j + q3*k of a fixed quaternion algebra."""
@@ -115,6 +127,13 @@ class Quaternion(_Value):
     def __init__(self, algebra: QuaternionAlgebra, q0: RationalLike, q1: RationalLike,
                  q2: RationalLike, q3: RationalLike) -> None:
         self._set(algebra, as_fraction(q0), as_fraction(q1), as_fraction(q2), as_fraction(q3))
+
+    @classmethod
+    def _unchecked(cls, algebra: QuaternionAlgebra, *coords: Fraction) -> "Quaternion":
+        """A quaternion whose caller has built its four coordinates as Fractions."""
+        q = object.__new__(cls)
+        q._set(algebra, *coords)
+        return q
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -155,13 +174,13 @@ class Quaternion(_Value):
     def __mul__(self, other: Union["Quaternion", int, Fraction]) -> "Quaternion":
         if not isinstance(other, Quaternion):
             c = as_fraction(other)
-            return Quaternion(self.algebra, *[c * x for x in self.coords])
+            return Quaternion._unchecked(self.algebra, *[c * x for x in self.coords])
         self._same_algebra(other)
         an, ad, bn, bd = self.algebra._ints
         D, (p0, p1, p2, p3) = self._scaled()
         E, (r0, r1, r2, r3) = other._scaled()
         DE = D * E
-        return Quaternion(
+        return Quaternion._unchecked(
             self.algebra,
             Fraction(ad * bd * p0 * r0 + an * bd * p1 * r1 + bn * ad * p2 * r2 - an * bn * p3 * r3,
                      DE * ad * bd),
@@ -198,8 +217,8 @@ class Quaternion(_Value):
     def square(self) -> "Quaternion":
         """q*q via the closed form (2*q0^2 - N(q)) + 2*q0*(pure part of q)."""
         E, c, x, D, (n0, *pure) = self._norm_ints()
-        pure = [Fraction(2 * n0 * n, D * D) for n in pure]
-        return Quaternion(self.algebra, Fraction(c + x, E), *pure)
+        pure = [Fraction(2 * n0 * n, D * D) for n in pure] if n0 else (_ZERO, _ZERO, _ZERO)
+        return Quaternion._unchecked(self.algebra, Fraction(c + x, E), *pure)
 
     def __str__(self) -> str:
         return f"{self.q0} + {self.q1}*i + {self.q2}*j + {self.q3}*k"
@@ -226,31 +245,45 @@ def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
         t = _sqrt_ratio(m, 2 * E)
         if not t:
             continue
-        root = Quaternion(q.algebra, Fraction(t, 2 * E), *[Fraction(n * K, t) for n in pure])
+        root = Quaternion._unchecked(q.algebra, Fraction(t, 2 * E),
+                                     *[Fraction(n * K, t) for n in pure])
         if root.square() != q:
             raise RuntimeError("non-central root candidate failed re-squaring")
         return root
     return None
 
 
+def _resquared(root: Quaternion, a: Fraction, branch: str) -> Quaternion:
+    """root, once its one squaring is checked to be the scalar a, coordinate by coordinate."""
+    s = root.square()
+    if s.q0 != a or s.q1 or s.q2 or s.q3:
+        raise RuntimeError(f"{branch} root failed re-squaring")
+    return root
+
+
 def sqrt_central_split(algebra: QuaternionAlgebra, a: RationalLike) -> Quaternion:
     """A root of the central element a in a split algebra; never fails.
 
     The pure norm form of a split algebra is isotropic, hence universal, so a
-    pure quaternion of norm -a (which squares to a) always exists.
+    pure quaternion of norm -a (which squares to a) always exists. With the
+    form's entries E/F, the cached isotropic vector N/M and a = A/D, it is
+    `isotropic_to_universal`'s W on ints: W_k = (delta_ik*Q + P*N_k)/Q with
+    P = -A*F - E_i*D and Q = 2*D*E_i*N_i, one Fraction per coordinate.
     """
     a = as_fraction(a)
     if a == 0:
         raise ValueError("a must be nonzero")
     if not algebra.is_split():
         raise ValueError("the algebra does not split")
-    # The cached isotropic vector was checked when built, and the root's
-    # re-squaring below checks the norm -a it hits.
-    w = _universal(algebra.pure_norm_form().entries, algebra._pure_isotropic_vector, -a)
-    root = Quaternion(algebra, 0, w[0], w[1], w[2])
-    if root.square() != algebra.scalar(a):
-        raise RuntimeError("split central root failed re-squaring")
-    return root
+    return _sqrt_split(algebra, a)
+
+
+def _sqrt_split(algebra: QuaternionAlgebra, a: Fraction) -> Quaternion:
+    F, E, N, i = algebra._pure_ints
+    A, D = a.numerator, a.denominator
+    P, Q = -A * F - E[i] * D, 2 * D * E[i] * N[i]
+    w = [Fraction(P * n + Q if k == i else P * n, Q) for k, n in enumerate(N)]
+    return _resquared(Quaternion._unchecked(algebra, _ZERO, *w), a, "split central")
 
 
 def sqrt_central_nonsplit(
@@ -272,23 +305,29 @@ def sqrt_central_nonsplit(
         raise ValueError("a must be nonzero")
     if algebra.is_split():
         raise ValueError("the algebra splits; use sqrt_central_split")
-    alpha, beta = algebra.alpha, algebra.beta
     if (c := is_square(a)) is not None:
-        root = algebra.scalar(c)
-    elif (c := is_square(a * alpha)) is not None:
-        root = algebra.quaternion(0, c / alpha, 0, 0)
-    elif (c := is_square(a * beta)) is not None:
-        root = algebra.quaternion(0, 0, c / beta, 0)
+        root = Quaternion._unchecked(algebra, c, _ZERO, _ZERO, _ZERO)
+        return _resquared(root, a, "non-split central")
+    return _sqrt_nonsplit(algebra, a)
+
+
+def _sqrt_nonsplit(algebra: QuaternionAlgebra, a: Fraction) -> Optional[Quaternion]:
+    """sqrt_central_nonsplit for an a that is not a rational square."""
+    an, ad, bn, bd = algebra._ints
+    n, d = a.numerator, a.denominator
+    # a*alpha = n*an/(d*ad) is the square of r/(d*ad), so r/(d*an) squares to a/alpha.
+    if (r := _sqrt_ratio(n * an, d * ad)) is not None:
+        root = Quaternion._unchecked(algebra, _ZERO, Fraction(r, d * an), _ZERO, _ZERO)
+    elif (r := _sqrt_ratio(n * bn, d * bd)) is not None:
+        root = Quaternion._unchecked(algebra, _ZERO, _ZERO, Fraction(r, d * bn), _ZERO)
     elif any(is_local_square(a, v) for v in algebra._ramified):
         return None
     else:
         A, B = algebra._classes
         _, (m0, v), (l0, l1) = _search_common_value((_Classed(a), -A), (B, -(A * B)))
         # m0 = 0 would make (v, l0, l1) a zero of the anisotropic pure norm form.
-        root = algebra.quaternion(0, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)
-    if root.square() != algebra.scalar(a):
-        raise RuntimeError("non-split central root failed re-squaring")
-    return root
+        root = Quaternion._unchecked(algebra, _ZERO, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)
+    return _resquared(root, a, "non-split central")
 
 
 def sqrt(q: Quaternion) -> Optional[Quaternion]:
@@ -296,17 +335,12 @@ def sqrt(q: Quaternion) -> Optional[Quaternion]:
 
     Dispatch: non-central values to the non-central routine; central values
     a to the scalar root when a is a square in Q (0 included), otherwise to
-    the split or non-split central routine. Each routine re-squares its root
-    before returning it; the scalar root is re-squared here.
+    the split or non-split central kernel, each fact decided once. Every
+    root is re-squared once before it is returned.
     """
-    a = q.q0
     if not q.is_central:
         return sqrt_noncentral(q)
-    if (c := is_square(a)) is None:
-        if q.algebra.is_split():
-            return sqrt_central_split(q.algebra, a)
-        return sqrt_central_nonsplit(q.algebra, a)
-    root = q.algebra.scalar(c)
-    if root.square() != q:
-        raise RuntimeError("scalar root failed re-squaring")
-    return root
+    algebra, a = q.algebra, q.q0
+    if (c := is_square(a)) is not None:
+        return _resquared(Quaternion._unchecked(algebra, c, _ZERO, _ZERO, _ZERO), a, "scalar")
+    return (_sqrt_split if algebra.is_split() else _sqrt_nonsplit)(algebra, a)

@@ -20,8 +20,8 @@ RationalLike = Union[int, Fraction]
 
 # Miller-Rabin to the first k prime bases is deterministic for n < psi_k, the
 # smallest strong pseudoprime to all of them (Jaeschke 1993; Sorenson-Webster
-# 2017). Below psi_13 ~ 3.317e24 is_prime is exact; from it on, it is a strong
-# probable-prime test to the 14 bases to 43, which psi_13 itself fails.
+# 2017). Below psi_13 ~ 3.317e24 is_prime is exact; from it on, it is BPSW:
+# the base-2 strong test, then a strong Lucas test, which psi_13 itself fails.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _MR_PSI = (
     2047,
@@ -70,7 +70,7 @@ def format_rational(q: RationalLike) -> str:
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic for n < 3.317e24."""
+    """Miller-Rabin primality test, deterministic for n < 3.317e24; BPSW from there on."""
     if not isinstance(n, int):
         raise TypeError(f"expected an int, got {type(n).__name__}")
     if n < 2:
@@ -81,8 +81,9 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = ((d & -d).bit_length()) - 1
     d >>= s
-    k = min(bisect.bisect_right(_MR_PSI, n) + 1, len(_MR_BASES))
-    for a in _MR_BASES[:k]:
+    k = bisect.bisect_right(_MR_PSI, n) + 1
+    bpsw = k > len(_MR_PSI)  # n >= psi_13
+    for a in (2,) if bpsw else _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -92,7 +93,55 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return not bpsw or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0."""
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test on an odd n > 1 with Selfridge's
+    parameters (method A): the first D of 5, -7, 9, -11, ... with Jacobi
+    (D/n) = -1, P = 1 and Q = (1 - D)/4. With n + 1 = d*2^s, n passes iff
+    U_d = 0 or V_(d*2^r) = 0 mod n for some 0 <= r < s."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # a factor of D below n, or n = |D|
+            return n == abs(D)
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    s = ((d & -d).bit_length()) - 1
+    d >>= s
+    # U_k, V_k and Q^k from k = 1 along d's bits: doubling, then k -> k + 1
+    # by U' = (U + V)/2 and V' = (D*U + V)/2, halved mod the odd n.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) % n, (D * U + V) % n, Qk * Q % n
+            U, V = (U + n * (U & 1)) >> 1, (V + n * (V & 1)) >> 1
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:

@@ -9,16 +9,22 @@ certificates too, (d, represents(xi, d), represents(zeta, d)), for reuse.
 It decides existence, and its search, _search_common_value, takes only
 two anisotropic forms whose values are known to meet.
 
-The system is built once over the starting places (real, 2, the entries'
-primes) and columns (-1, the starting primes), each row kept sparse as the
-set of columns whose symbol is -1 plus its rhs bit. A symbol of two p-units
-at an odd p is +1. So a starting row at an odd p that does not divide its
-discriminant D reads only column p; an appended prime q adds its column's
-entries only at the other starting rows, and q's own row is (D, q)_q with
-rhs 0. If that is -1 for either D, q's exponent is forced to 0 and q can
-change neither solvability nor the solution, so it is skipped without a
-solve and not counted toward the prime-append cap. Columns stay ascending,
-so Gauss-Jordan picks the d a system rebuilt every round would pick.
+The system is built once, columns -1 and the starting primes (2 and the
+entries' primes), rows the real place and the odd starting primes, each row
+kept sparse as the set of columns whose symbol is -1 plus its rhs bit. The
+real row is read off signs: (D, c) = -1 only for c = -1 when D < 0, and the
+rhs only when both entries are negative. A symbol of two p-units at an odd p
+is +1, so a row at an odd p that does not divide its discriminant D reads
+only column p, and its rhs only when p divides the entries; an appended
+prime q adds its column's entries only at the odd primes of D, and q's own
+row is (D, q)_q with rhs 0. If that is -1 for either D, q's exponent is
+forced to 0 and q can change neither solvability nor the solution, so it is
+skipped without a solve and not counted toward the prime-append cap. There
+is no row at 2: by Hilbert reciprocity each column's symbols, and the rhs
+symbols, multiply to +1 over the real place, 2, the starting primes and the
+counted q (whose rows are zero), which hold every -1; so each form's row at
+2 is the sum of its others, and the row space is the same. Columns stay
+ascending, so Gauss-Jordan picks the d a system rebuilt every round would.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 
 from .forms import DiagonalForm, _isotropic, _solve_conic
 from .hilbert import _symbol_squarefree
-from .places import Place, _places_over, iter_primes
+from .places import Place, iter_primes
 from .rationals import RationalLike, _Classed, _square_class, _times, _Value, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
@@ -208,25 +214,25 @@ def _common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> Optional[
 def _search_common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> _Certified:
     """The GF(2) search, for two anisotropic forms whose values meet."""
     start = sorted({2, *(p for x in (*xi, *zeta) for p in x.cls[1])})
-    places = _places_over(start)
     columns = [-1, *start]
     # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree
     # parts stand for the six classes, so no round factors anything.
     (sx0, sx1), (sz0, sz1) = ((b0.cls[0], b1.cls[0]) for b0, b1 in (xi, zeta))
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
-    # One row per discriminant and starting place: whether it is wide (v is
-    # real, 2 or a prime of disc), the rhs bit, the columns whose symbol is -1.
-    rows = [
-        (disc, v, wide, _bit(_symbol_squarefree(b0, b1, v)),
-         {c for c in (columns if wide else (v.prime,)) if _symbol_squarefree(disc, c, v) == -1})
-        for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1))
-        for v in places
-        for wide in [v.prime in (None, 2) or disc % v.prime == 0]
-    ]
+    # One row per discriminant and place: (disc, v, rhs bit, the columns whose
+    # symbol is -1), v set only where appended primes enter, at primes of disc.
+    rows = []
+    for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1)):
+        rows.append((disc, None, int(b0 < 0 and b1 < 0), {-1} if disc < 0 else set()))
+        for p in start[1:]:
+            v, wide = Place._unchecked(p), disc % p == 0
+            rhs = _bit(_symbol_squarefree(b0, b1, v)) if b0 * b1 % p == 0 else 0
+            neg = {c for c in (columns if wide else [p]) if _symbol_squarefree(disc, c, v) == -1}
+            rows.append((disc, v if wide else None, rhs, neg))
     appended = (q for q in iter_primes() if q not in start)
     for counted in itertools.count():
         index = {c: k for k, c in enumerate(columns)}
-        live = [(sum(1 << index[c] for c in neg), b) for _, _, _, b, neg in rows if neg or b]
+        live = [(sum(1 << index[c] for c in neg), b) for _, _, b, neg in rows if neg or b]
         masks, bits = tuple(m for m, _ in live), tuple(b for _, b in live)
         eps = solve_gf2(GF2System._unchecked(masks, bits, len(columns)))
         if eps is not None:
@@ -240,7 +246,7 @@ def _search_common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> _C
             q for q in appended
             if all(_symbol_squarefree(disc, q, Place._unchecked(q)) == 1 for disc in (sx, sz))
         )
-        for disc, v, wide, _, neg in rows:
-            if wide and _symbol_squarefree(disc, q, v) == -1:
+        for disc, v, _, neg in rows:
+            if v is not None and _symbol_squarefree(disc, q, v) == -1:
                 neg.add(q)
         bisect.insort(columns, q)

@@ -3,8 +3,8 @@
 Nothing here calls into the package: Hilbert symbols are settled by
 congruence searches, local squares by residue scans, isotropy by integer
 vector searches. Slow but screamingly simple. The rest are the plainer
-code that package kernels were specialized from: quaternion formulas and
-conic back-substitution on Fractions, and LLL for any rank.
+code that package kernels were specialized from: quaternion formulas, split
+central roots and conic back-substitution on Fractions, and LLL for any rank.
 """
 
 from __future__ import annotations
@@ -182,6 +182,17 @@ def quaternion_sqrt_noncentral(alpha, beta, q):
         if r0:
             return (r0, *(x / (2 * r0) for x in q[1:]))
     return None
+
+
+def split_central_root(alpha, beta, vec, a):
+    """The pure root (0, W) of the scalar a in a split (alpha, beta | Q), from
+    an isotropic vector vec of its pure norm form <-alpha, -beta, alpha*beta>:
+    with e_i the first entry where vec_i != 0, W = u_i + s*vec has form value
+    -a for s = (-a - e_i)/(2*e_i*vec_i), u_i the i-th unit vector."""
+    entries = (-alpha, -beta, alpha * beta)
+    i = next(k for k, x in enumerate(vec) if x != 0)
+    s = (-a - entries[i]) / (2 * entries[i] * vec[i])
+    return (Fraction(0), *((1 if k == i else 0) + s * x for k, x in enumerate(vec)))
 
 
 def conic_back_substitution(alpha, c, form, zero) -> tuple[Fraction, Fraction]:

@@ -15,6 +15,7 @@ from quatsqrt.forms import DiagonalForm, is_isotropic
 from quatsqrt.hilbert import hilbert_symbol
 from quatsqrt.places import REAL, Place, is_local_square
 from quatsqrt.quaternions import (
+    Quaternion,
     QuaternionAlgebra,
     sqrt,
     sqrt_central_nonsplit,
@@ -227,9 +228,34 @@ def kernel_coords(draw):
 kernel_cases = st.tuples(kernel_params, kernel_params, kernel_coords(), kernel_coords())
 
 
+@st.composite
+def split_cases(draw):
+    """(alpha, beta, a) for a split algebra: beta = x^2 - alpha*y^2 is a norm
+    from Q(sqrt alpha), or alpha is a square and its vector is (0, c, 1);
+    alpha and beta often non-integral, a sometimes 40 digits over 20."""
+    alpha = draw(kernel_params)
+    if draw(st.booleans()):
+        alpha = alpha * alpha
+        beta = draw(kernel_params)
+    else:
+        x, y = draw(kernel_params), draw(kernel_params)
+        beta = x * x - alpha * y * y
+        assume(beta != 0)
+    a = draw(st.one_of(nonzero_fractions, st.fractions(max_denominator=10**20).filter(bool),
+                       st.builds(Fraction, st.integers(10**39, 10**40), st.integers(1, 10**20))))
+    return alpha, beta, a
+
+
 class TestIntegerKernel:
     """norm, square and products on integers over one denominator agree with
     the Fraction formulas they replaced (tests/oracles.py)."""
+
+    @given(kernel_params, kernel_params, kernel_coords())
+    @settings(max_examples=50, deadline=None)
+    def test_unchecked_equals_and_hashes_like_the_constructor(self, alpha, beta, coords):
+        A = QuaternionAlgebra(alpha, beta)
+        q, u = A.quaternion(*coords), Quaternion._unchecked(A, *coords)
+        assert u == q and hash(u) == hash(q) and repr(u) == repr(q)
 
     @given(kernel_cases)
     @settings(max_examples=200, deadline=None)
@@ -359,6 +385,31 @@ class TestSqrtCentralSplit:
         with pytest.raises(ValueError):
             sqrt_central_split(M, 0)
 
+    @given(split_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_reference(self, case):
+        alpha, beta, a = case
+        A = QuaternionAlgebra(alpha, beta)
+        r = sqrt_central_split(A, a)
+        assert r.coords == oracles.split_central_root(alpha, beta, A._pure_isotropic_vector, a)
+        assert all(type(x) is Fraction for x in r.coords)
+        if is_square(a) is None:
+            assert sqrt(A.scalar(a)) == r
+
+    @pytest.mark.parametrize(
+        "field, k", [(0, None), (1, 0), (2, 0), (2, 2)], ids=["F", "E0", "N0", "N2"]
+    )
+    def test_corrupt_integer_data_fails_the_resquaring(self, field, k, monkeypatch):
+        A = QuaternionAlgebra(Fraction(3, 2), Fraction(-1, 2))  # -1/2 = 1 - (3/2)*1
+        data = list(A._pure_ints)
+        if k is None:
+            data[field] += 1
+        else:
+            data[field] = tuple(x + 1 if j == k else x for j, x in enumerate(data[field]))
+        monkeypatch.setitem(A.__dict__, "_pure_ints", tuple(data))
+        with pytest.raises(RuntimeError, match="split central root failed re-squaring"):
+            sqrt(A.scalar(7))
+
 
 class TestSqrtCentralNonsplit:
     def test_shortcuts(self):
@@ -371,6 +422,24 @@ class TestSqrtCentralNonsplit:
         r = sqrt_central_nonsplit(B25, Fraction(5))
         assert r == B25.quaternion(0, 0, 1, 0)
         assert r.square() == B25.scalar(5)
+
+    @given(kernel_params, kernel_params, kernel_params, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_shortcut_roots_match_the_fraction_reference(self, alpha, beta, t, along_i):
+        # a*alpha or a*beta a square, read off unreduced integer pairs.
+        A = QuaternionAlgebra(alpha, beta)
+        assume(not A.is_split())
+        a = t * t / (alpha if along_i else beta)
+        c = oracles.rational_sqrt
+        if c(a) is not None:
+            expected = (c(a), 0, 0, 0)
+        elif c(a * alpha) is not None:
+            expected = (0, c(a * alpha) / alpha, 0, 0)
+        else:
+            expected = (0, 0, c(a * beta) / beta, 0)
+        assert sqrt_central_nonsplit(A, a).coords == expected
+        if c(a) is None:
+            assert sqrt(A.scalar(a)).coords == expected
 
     @pytest.mark.parametrize("A, a", [(H, 4), (H, -4), (B25, 5)], ids=["scalar", "i", "j"])
     def test_shortcut_root_is_resquared_once(self, A, a, square_calls):
@@ -565,6 +634,16 @@ class TestSqrtDispatcher:
         r = sqrt(q)
         assert square_calls == [r]
         assert r * r == q
+
+    @pytest.mark.parametrize("coords", [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)])
+    def test_resquaring_compares_every_coordinate(self, coords):
+        # (1 + u)^2 = 2u for a pure unit u of H: its scalar part matches a = 0.
+        r = H.quaternion(*coords)
+        assert r.square().q0 == 0
+        with pytest.raises(RuntimeError, match="scalar root failed re-squaring"):
+            quaternions_module._resquared(r, Fraction(0), "scalar")
+        with pytest.raises(RuntimeError, match="scalar root failed re-squaring"):
+            quaternions_module._resquared(H.scalar(2), Fraction(5), "scalar")
 
     def test_spec_cli_cases(self):
         assert sqrt(H.quaternion(0, 2, 0, 0)) == H.quaternion(1, 1, 0, 0)

@@ -106,9 +106,39 @@ class TestIsPrime:
         with pytest.raises(TypeError):
             is_prime(n)
 
-    def test_psi_13_fails_the_fourteenth_base(self):
-        # psi_13 is a strong pseudoprime to all thirteen prime bases 2..41.
-        assert not is_prime(3317044064679887385961981)
+    def test_psi_13_fails_the_lucas_step(self):
+        # psi_13 is a strong pseudoprime to all thirteen prime bases 2..41;
+        # from psi_13 on, is_prime is BPSW, and its Lucas step rejects it.
+        psi_13 = 3317044064679887385961981
+        assert pow(2, psi_13 - 1, psi_13) == 1
+        assert not rationals._strong_lucas(psi_13)
+        assert not is_prime(psi_13)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877])
+    def test_strong_lucas_pseudoprimes_fail_is_prime(self, n):
+        # The three smallest strong Lucas pseudoprimes (Selfridge's parameters).
+        assert rationals._strong_lucas(n)
+        assert not is_prime(n)
+
+    def test_lucas_step_only_from_psi_13_on(self, monkeypatch):
+        calls = []
+        lucas = rationals._strong_lucas
+
+        def counting(n):
+            calls.append(n)
+            return lucas(n)
+
+        monkeypatch.setattr(rationals, "_strong_lucas", counting)
+        m89, m107 = 2**89 - 1, 2**107 - 1  # Mersenne primes, both past psi_13
+        assert is_prime(m89) and is_prime(m107) and not is_prime(m89 * m107)
+        assert is_prime(2**61 - 1) and not is_prime(_MR_PSI[-2])
+        assert calls == [m89, m107]  # m89*m107 already fails base 2
+
+    @given(st.one_of(st.integers(3, 10**6), st.integers(10**20, 10**40)).map(lambda n: n | 1))
+    @settings(max_examples=300, deadline=None)
+    def test_strong_lucas_matches_sympy(self, n):
+        primetest = pytest.importorskip("sympy.ntheory.primetest")
+        assert rationals._strong_lucas(n) == primetest.is_strong_lucas_prp(n)
 
     @given(st.one_of(near_psi(10**25), st.integers(-10, 10**24)))
     @settings(max_examples=150, deadline=None)

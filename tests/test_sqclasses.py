@@ -350,6 +350,21 @@ class TestCommonValue:
         ]
         assert units == []
 
+    @pytest.mark.parametrize("xi, zeta", PINNED_PAIRS + [CAP_PAIR])
+    def test_evaluates_no_symbol_at_the_real_place_or_two(self, xi, zeta, monkeypatch):
+        # The real row is read off signs and the row at 2 is left out, by
+        # reciprocity; a narrow row's rhs of two units is not read either.
+        seen = []
+
+        def counting(a, b, v):
+            seen.append((a, b, v))
+            return _symbol_squarefree(a, b, v)
+
+        monkeypatch.setattr(sqclasses, "_symbol_squarefree", counting)
+        assert _common_value(*classed(DiagonalForm(xi), DiagonalForm(zeta))) is not None
+        assert seen and all(v.prime not in (None, 2) for _, _, v in seen)
+        assert [(a, b, v) for a, b, v in seen if a % v.prime and b % v.prime] == []
+
     def test_rounds_revalidate_no_system(self, monkeypatch):
         # Each round's system is built unchecked; solve_gf2 still solves it.
         checked = []
