@@ -2,7 +2,8 @@
 
 The package is exact end to end: rationals are `fractions.Fraction`, every
 decision (splitness, isotropy, solvability) is made by integer arithmetic,
-and every square root handed back re-squares to its input.
+and every square root handed back re-squares to its input, checked once on
+integers against each of the input's coordinates.
 """
 
 from .rationals import (

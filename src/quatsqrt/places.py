@@ -68,15 +68,15 @@ def _strip(n: int, p: int) -> tuple[int, int]:
 
 
 def valuation(q: RationalLike, p: Union[int, Place]) -> int:
-    """p-adic valuation of a nonzero rational; negative when p divides the denominator."""
+    """p-adic valuation of a nonzero rational, p prime; negative when p divides the denominator."""
     if isinstance(p, Place):
         if p.is_real:
             raise ValueError("valuation needs a finite place")
         p = p.prime
     elif not isinstance(p, int):
         raise TypeError(f"expected an int or Place, got {type(p).__name__}")
-    if p < 2:
-        raise ValueError(f"valuation needs p >= 2, got {p}")
+    elif not is_prime(p):
+        raise ValueError(f"not a prime: {p}")
     q = as_fraction(q)
     if q == 0:
         raise ValueError("valuation of zero is undefined")

@@ -4,7 +4,8 @@ The algebra has basis 1, i, j, k with i^2 = alpha, j^2 = beta and
 k = ij = -ji. Square roots split into cases: non-central elements reduce to
 square tests on the norm, central elements to isotropy and norm equations of
 the attached quadratic forms. Each routine re-squares the root it builds,
-once, and `sqrt` returns that root as it is.
+once, on integers: every coordinate of the square is cross-multiplied with
+the target's, and `sqrt` returns that root as it is.
 """
 
 from __future__ import annotations
@@ -220,6 +221,15 @@ class Quaternion(_Value):
         pure = [Fraction(2 * n0 * n, D * D) for n in pure] if n0 else (_ZERO, _ZERO, _ZERO)
         return Quaternion._unchecked(self.algebra, Fraction(c + x, E), *pure)
 
+    def _squares_to(self, t0: Fraction, t1: Fraction, t2: Fraction, t3: Fraction) -> bool:
+        """Whether q*q = t0 + t1*i + t2*j + t3*k: (c + x)/E and 2*n0*n_i/D^2, cross-multiplied."""
+        E, c, x, D, (n0, n1, n2, n3) = self._norm_ints()
+        m, DD = 2 * n0, D * D
+        return ((c + x) * t0.denominator == t0.numerator * E
+                and m * n1 * t1.denominator == t1.numerator * DD
+                and m * n2 * t2.denominator == t2.numerator * DD
+                and m * n3 * t3.denominator == t3.numerator * DD)
+
     def __str__(self) -> str:
         return f"{self.q0} + {self.q1}*i + {self.q2}*j + {self.q3}*k"
 
@@ -247,7 +257,7 @@ def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
             continue
         root = Quaternion._unchecked(q.algebra, Fraction(t, 2 * E),
                                      *[Fraction(n * K, t) for n in pure])
-        if root.square() != q:
+        if not root._squares_to(*q.coords):
             raise RuntimeError("non-central root candidate failed re-squaring")
         return root
     return None
@@ -255,8 +265,7 @@ def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
 
 def _resquared(root: Quaternion, a: Fraction, branch: str) -> Quaternion:
     """root, once its one squaring is checked to be the scalar a, coordinate by coordinate."""
-    s = root.square()
-    if s.q0 != a or s.q1 or s.q2 or s.q3:
+    if not root._squares_to(a, _ZERO, _ZERO, _ZERO):
         raise RuntimeError(f"{branch} root failed re-squaring")
     return root
 

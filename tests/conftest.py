@@ -3,7 +3,8 @@
 The acceptance tests record one line per criterion here; the hook below
 replays them after the run so they stay visible despite output capture.
 The factor_calls fixture records every argument handed to `factor`, and
-square_calls every quaternion that `Quaternion.square` is called on.
+square_calls every quaternion that is squared: the receivers of
+`Quaternion.square` and of the integer re-squaring check `_squares_to`.
 """
 
 import os
@@ -48,15 +49,17 @@ def factor_calls(monkeypatch):
 
 @pytest.fixture
 def square_calls(monkeypatch):
-    """The receivers of every `Quaternion.square` call."""
+    """The receivers of every `Quaternion.square` and `Quaternion._squares_to` call."""
     calls = []
-    square = Quaternion.square
 
-    def counting(q):
-        calls.append(q)
-        return square(q)
+    def counting(method):
+        def wrapper(q, *args):
+            calls.append(q)
+            return method(q, *args)
+        return wrapper
 
-    monkeypatch.setattr(Quaternion, "square", counting)
+    for name in ("square", "_squares_to"):
+        monkeypatch.setattr(Quaternion, name, counting(getattr(Quaternion, name)))
     return calls
 
 

@@ -83,6 +83,12 @@ class TestValuation:
         with pytest.raises(ValueError):
             valuation(5, p)
 
+    @pytest.mark.parametrize("p", [4, 6, 9, 1001])
+    def test_composite_p_rejected(self, p):
+        # valuation(16, 4) would read 2 and valuation(1/8, 6) 0: neither is a p-adic valuation.
+        with pytest.raises(ValueError, match=f"not a prime: {p}"):
+            valuation(Fraction(1, 8) if p == 6 else 16, p)
+
     @given(nonzero_rationals, st.sampled_from(SMALL_PRIMES))
     def test_unit_part(self, q, p):
         v = valuation(q, p)

@@ -269,6 +269,22 @@ class TestIntegerKernel:
         assert p.square() == p * p
         assert (p * r).norm() == p.norm() * r.norm()
 
+    @given(
+        st.one_of(mixed_algebras, st.tuples(kernel_params, kernel_params).map(
+            lambda p: QuaternionAlgebra(*p))).flatmap(
+            lambda A: st.one_of(quaternions(A), kernel_coords().map(lambda c: A.quaternion(*c))))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_squares_to_agrees_with_square(self, r):
+        # The exact square, then every near miss: one target coordinate moved by +-1/den.
+        target = r.square().coords
+        assert r._squares_to(*target)
+        for k, t in enumerate(target):
+            for step in (1, -1):
+                moved = list(target)
+                moved[k] = t + Fraction(step, t.denominator)
+                assert r._squares_to(*moved) == (r.square() == r.algebra.quaternion(*moved))
+
     @given(kernel_cases)
     @settings(max_examples=200, deadline=None)
     def test_sqrt_noncentral_matches_the_fraction_formulas(self, case):
@@ -293,6 +309,22 @@ class TestSqrtNoncentral:
     def test_central_rejected(self):
         with pytest.raises(ValueError):
             sqrt_noncentral(H.scalar(4))
+
+    def test_corrupt_scalar_part_fails_the_resquaring(self, monkeypatch):
+        # t + 1 for t moves r0 = t/(2E), and r_i = n_i*K/t moves with it, so the
+        # square's pure part 2*r0*r_i still equals q's: only its scalar part differs.
+        calls = []
+        sqrt_ratio = quaternions_module._sqrt_ratio
+
+        def corrupt(n, d):
+            calls.append((n, d))
+            r = sqrt_ratio(n, d)
+            return r + 1 if len(calls) == 2 else r
+
+        monkeypatch.setattr(quaternions_module, "_sqrt_ratio", corrupt)
+        with pytest.raises(RuntimeError, match="non-central root candidate failed re-squaring"):
+            sqrt(H.quaternion(0, 2, 0, 0))
+        assert len(calls) == 2
 
     def test_norm_obstruction(self):
         # N(1 + i) = 2 is not a rational square
