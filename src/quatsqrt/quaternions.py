@@ -69,6 +69,12 @@ class QuaternionAlgebra(_Value):
         return _Classed(self.alpha), _Classed(self.beta)
 
     @cached_property
+    def _entries(self) -> tuple[_Classed, _Classed]:
+        """-alpha and -alpha*beta with their classes, shared by every non-split root's forms."""
+        A, B = self._classes
+        return -A, -(A * B)
+
+    @cached_property
     def _ints(self) -> tuple[int, int, int, int]:
         """alpha and beta as (numerator, denominator) integers, the denominators positive."""
         a, b = self.alpha, self.beta
@@ -77,9 +83,9 @@ class QuaternionAlgebra(_Value):
     @cached_property
     def _ramified(self) -> list[Place]:
         """Every place v with (alpha, beta)_v = -1, ascending; empty iff the algebra splits."""
-        A, B = self._classes
+        (A, B), (nA, nAB) = self._classes, self._entries
         places = list(_obstructions(A.cls, B.cls))
-        if places and _isotropic_at([x.cls[0] for x in (-A, -B, A * B)], places[0]):
+        if places and _isotropic_at([nA.cls[0], -B.cls[0], -nAB.cls[0]], places[0]):
             raise RuntimeError(f"the pure norm form is isotropic at the obstruction {places[0]}")
         return places
 
@@ -332,8 +338,9 @@ def _sqrt_nonsplit(algebra: QuaternionAlgebra, a: Fraction) -> Optional[Quaterni
     elif any(is_local_square(a, v) for v in algebra._ramified):
         return None
     else:
-        A, B = algebra._classes
-        _, (m0, v), (l0, l1) = _search_common_value((_Classed(a), -A), (B, -(A * B)))
+        (A, B), (nA, nAB), Ca = algebra._classes, algebra._entries, _Classed(a)
+        # The certificate conics' coefficients -b1/b0: alpha/a and alpha.
+        _, (m0, v), (l0, l1) = _search_common_value((Ca, nA), (B, nAB), (A / Ca, A))
         # m0 = 0 would make (v, l0, l1) a zero of the anisotropic pure norm form.
         root = Quaternion._unchecked(algebra, _ZERO, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)
     return _resquared(root, a, "non-split central")

@@ -13,18 +13,21 @@ The system is built once, columns -1 and the starting primes (2 and the
 entries' primes), rows the real place and the odd starting primes, each row
 kept sparse as the set of columns whose symbol is -1 plus its rhs bit. The
 real row is read off signs: (D, c) = -1 only for c = -1 when D < 0, and the
-rhs only when both entries are negative. A symbol of two p-units at an odd p
-is +1, so a row at an odd p that does not divide its discriminant D reads
-only column p, and its rhs only when p divides the entries; an appended
-prime q adds its column's entries only at the odd primes of D, and q's own
-row is (D, q)_q with rhs 0. If that is -1 for either D, q's exponent is
-forced to 0 and q can change neither solvability nor the solution, so it is
-skipped without a solve and not counted toward the prime-append cap. There
-is no row at 2: by Hilbert reciprocity each column's symbols, and the rhs
-symbols, multiply to +1 over the real place, 2, the starting primes and the
-counted q (whose rows are zero), which hold every -1; so each form's row at
-2 is the sum of its others, and the row space is the same. Columns stay
-ascending, so Gauss-Jordan picks the d a system rebuilt every round would.
+rhs only when both entries are negative. At an odd p, (u, p)_p = (u/p) for
+a p-unit u and two p-units give +1, so entries are Legendre symbols of unit
+parts: a narrow row (p not dividing its discriminant D) reads only column p,
+as (D/p), and its rhs only when p divides the entries; a wide row (p | D)
+reads (c/p) at a p-unit column c and (-(D/p)/p) at column p. An appended
+prime q adds (q/p) at each wide row, and q's own row is (D, q)_q = (D/q)
+with rhs 0. If that is -1 for either D, q's exponent is forced to 0 and q
+changes neither solvability nor the solution, so it is skipped without a
+solve and not counted toward the prime-append cap. There is no row at 2: by
+Hilbert reciprocity each column's symbols, and the rhs symbols, multiply to
++1 over the real place, 2, the starting primes and the counted q (whose rows
+are zero), which hold every -1; so each form's row at 2 is the sum of its
+others, and the row space is the same. Columns stay ascending and
+`solve_gf2`, row by row, returns the unique reduced echelon form's
+solution, so it picks the d a system rebuilt every round would.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forms import DiagonalForm, _isotropic, _solve_conic
-from .hilbert import _symbol_squarefree
+from .hilbert import _legendre, _symbol_squarefree
 from .places import Place, iter_primes
 from .rationals import RationalLike, _Classed, _square_class, _times, _Value, is_prime, is_square
 
@@ -144,28 +147,30 @@ class GF2System(_Value):
 def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:
     """One solution of the system (free variables set to 0), or None.
 
-    Gauss-Jordan elimination on rows augmented with their rhs bit; a leftover
-    zero-row with rhs 1 means the system is inconsistent.
+    Row by row: each row, augmented with its rhs bit, is reduced by the pivot
+    rows so far; a row left with only its rhs bit makes the system
+    inconsistent, and any other becomes the pivot row of its lowest set bit,
+    which is cleared from the others. That is the unique reduced row echelon
+    form, pivots in ascending columns, so the solution is Gauss-Jordan's.
     """
     n = system.ncols
-    rows = [mask | (bit << n) for mask, bit in zip(system.rows, system.rhs)]
-    pivot_row: dict[int, int] = {}
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i] >> col & 1), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i] >> col & 1:
-                rows[i] ^= rows[rank]
-        pivot_row[col] = rank
-        rank += 1
-    if any(rows[i] for i in range(rank, len(rows))):
-        return None
+    pivots: dict[int, int] = {}  # pivot bit -> its reduced augmented row
+    for mask, bit in zip(system.rows, system.rhs):
+        row = mask | bit << n
+        for low, pivot in pivots.items():
+            if row & low:
+                row ^= pivot
+        low = row & -row
+        if low >> n:
+            return None
+        if low:
+            for other, pivot in pivots.items():
+                if pivot & low:
+                    pivots[other] = pivot ^ row
+            pivots[low] = row
     out = [0] * n
-    for col, i in pivot_row.items():
-        out[col] = rows[i] >> n & 1
+    for low, row in pivots.items():
+        out[low.bit_length() - 1] = row >> n
     return tuple(out)
 
 
@@ -177,10 +182,12 @@ def _bit(sym: int) -> int:
 _Certified = tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
-def _certified(xi: Sequence[_Classed], zeta: Sequence[_Classed], d: _Classed) -> _Certified:
-    """d with its certificates: <b0, b1> represents d by (u, v) with u^2 +
-    (b1/b0)*v^2 = d/b0, the conic solved, times b0."""
-    reps = [_solve_conic(-b1 / b0, d / b0) for b0, b1 in (xi, zeta)]
+def _certified(xi: Sequence[_Classed], zeta: Sequence[_Classed], d: _Classed,
+               conics: Optional[Sequence[_Classed]] = None) -> _Certified:
+    """d with its certificates: <b0, b1> represents d by (u, v) with u^2 - c*v^2 =
+    d/b0, c = -b1/b0 unless the caller hands the two c in, the conic solved."""
+    conics = conics or [-b1 / b0 for b0, b1 in (xi, zeta)]
+    reps = [_solve_conic(c, d / b0) for c, (b0, _) in zip(conics, (xi, zeta))]
     if None in reps:
         raise RuntimeError("common value failed its representation certificates")
     return d.q, reps[0], reps[1]
@@ -211,42 +218,42 @@ def _common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> Optional[
     return _search_common_value(xi, zeta) if _isotropic([*xi, -zeta[0], -zeta[1]]) else None
 
 
-def _search_common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> _Certified:
-    """The GF(2) search, for two anisotropic forms whose values meet."""
+def _search_common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed],
+                         conics: Optional[Sequence[_Classed]] = None) -> _Certified:
+    """The GF(2) search, for two anisotropic forms whose values meet; conics as `_certified`'s."""
     start = sorted({2, *(p for x in (*xi, *zeta) for p in x.cls[1])})
     columns = [-1, *start]
     # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree
     # parts stand for the six classes, so no round factors anything.
     (sx0, sx1), (sz0, sz1) = ((b0.cls[0], b1.cls[0]) for b0, b1 in (xi, zeta))
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
-    # One row per discriminant and place: (disc, v, rhs bit, the columns whose
-    # symbol is -1), v set only where appended primes enter, at primes of disc.
+    # One row per discriminant D and place: (p at a wide row, where appended
+    # primes enter, else None; rhs bit; the columns whose symbol is -1).
     rows = []
     for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1)):
-        rows.append((disc, None, int(b0 < 0 and b1 < 0), {-1} if disc < 0 else set()))
+        rows.append((None, int(b0 < 0 and b1 < 0), {-1} if disc < 0 else set()))
         for p in start[1:]:
-            v, wide = Place._unchecked(p), disc % p == 0
-            rhs = _bit(_symbol_squarefree(b0, b1, v)) if b0 * b1 % p == 0 else 0
-            neg = {c for c in (columns if wide else [p]) if _symbol_squarefree(disc, c, v) == -1}
-            rows.append((disc, v if wide else None, rhs, neg))
+            rhs = _bit(_symbol_squarefree(b0, b1, Place._unchecked(p))) if b0 * b1 % p == 0 else 0
+            wide = disc % p == 0
+            units = {c: -(disc // p) if c == p else c for c in columns} if wide else {p: disc}
+            neg = {c for c, u in units.items() if _legendre(u, p) == -1}
+            rows.append((p if wide else None, rhs, neg))
     appended = (q for q in iter_primes() if q not in start)
     for counted in itertools.count():
         index = {c: k for k, c in enumerate(columns)}
-        live = [(sum(1 << index[c] for c in neg), b) for _, _, b, neg in rows if neg or b]
+        live = [(sum(1 << index[c] for c in neg), b) for _, b, neg in rows if neg or b]
         masks, bits = tuple(m for m, _ in live), tuple(b for _, b in live)
         eps = solve_gf2(GF2System._unchecked(masks, bits, len(columns)))
         if eps is not None:
-            return _certified(xi, zeta, _Classed._squarefree([c for c, e in zip(columns, eps) if e]))
+            d = _Classed._squarefree([c for c, e in zip(columns, eps) if e])
+            return _certified(xi, zeta, d, conics)
         if counted == _PRIME_APPEND_CAP:
             raise RuntimeError("common-value search exceeded the prime-append cap")
         # q is odd and outside the starting primes, so the discriminants, rhs
         # entries and earlier columns are all units at q: their symbols at q
-        # are +1. Of q's own row only (D, q)_q is left; -1 forces eps_q = 0.
-        q = next(
-            q for q in appended
-            if all(_symbol_squarefree(disc, q, Place._unchecked(q)) == 1 for disc in (sx, sz))
-        )
-        for disc, v, _, neg in rows:
-            if v is not None and _symbol_squarefree(disc, q, v) == -1:
+        # are +1. Of q's own row only (D, q)_q = (D/q) is left; -1 forces eps_q = 0.
+        q = next(q for q in appended if _legendre(sx, q) == 1 == _legendre(sz, q))
+        for p, _, neg in rows:
+            if p is not None and _legendre(q, p) == -1:
                 neg.add(q)
         bisect.insort(columns, q)

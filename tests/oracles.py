@@ -4,7 +4,8 @@ Nothing here calls into the package: Hilbert symbols are settled by
 congruence searches, local squares by residue scans, isotropy by integer
 vector searches. Slow but screamingly simple. The rest are the plainer
 code that package kernels were specialized from: quaternion formulas, split
-central roots and conic back-substitution on Fractions, and LLL for any rank.
+central roots and conic back-substitution on Fractions, LLL for any rank,
+and column-by-column Gauss-Jordan over GF(2).
 """
 
 from __future__ import annotations
@@ -255,3 +256,34 @@ def lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> list[list[int
         d[k] = new
         k = max(k - 1, 1)
     return b
+
+
+# Gauss-Jordan over GF(2) column by column, as `sqclasses.solve_gf2` was
+# before it reduced row by row; that one must return the same solution.
+
+def solve_gf2_columns(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Optional[tuple[int, ...]]:
+    """One solution of rows (column bitmasks) = rhs bits, free variables set to 0, or None.
+
+    Gauss-Jordan elimination on rows augmented with their rhs bit; a leftover
+    zero-row with rhs 1 means the system is inconsistent.
+    """
+    n = ncols
+    rows = [mask | (bit << n) for mask, bit in zip(rows, rhs)]
+    pivot_row: dict[int, int] = {}
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i] >> col & 1), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i] >> col & 1:
+                rows[i] ^= rows[rank]
+        pivot_row[col] = rank
+        rank += 1
+    if any(rows[i] for i in range(rank, len(rows))):
+        return None
+    out = [0] * n
+    for col, i in pivot_row.items():
+        out[col] = rows[i] >> n & 1
+    return tuple(out)

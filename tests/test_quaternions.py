@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quatsqrt.quaternions as quaternions_module
+import quatsqrt.rationals as rationals
 import quatsqrt.sqclasses as sqclasses_module
 from quatsqrt.forms import DiagonalForm, is_isotropic
 from quatsqrt.hilbert import hilbert_symbol
@@ -560,6 +561,33 @@ class TestSqrtCentralNonsplit:
         r = sqrt(QuaternionAlgebra(alpha, beta).scalar(a))
         assert tuple(str(x) for x in r.coords) == root
         assert factor_calls == [alpha, beta, a]
+
+    @pytest.mark.parametrize("params, a1, a2", [((3, -7), Fraction(-27, 7), Fraction(31, 8)),
+                                                 ((2, 5), 13, Fraction(-56, 3))])
+    def test_second_root_derives_no_class_of_the_algebra(self, params, a1, a2, monkeypatch):
+        # -alpha and -alpha*beta are cached with their classes, and alpha is
+        # handed in as the zeta certificate conic's coefficient: a second root
+        # reads a's class and derives only those of alpha/a, d/a and d/beta.
+        A = QuaternionAlgebra(*params)
+        assert sqrt(A.scalar(a1)) is not None
+        read, derived = [], []
+        square_class, class_times = rationals._square_class, rationals._class_times
+
+        def reading(q):
+            read.append(q)
+            return square_class(q)
+
+        def deriving(x, y):
+            derived.append(class_times(x, y))
+            return derived[-1]
+
+        monkeypatch.setattr(rationals, "_square_class", reading)
+        monkeypatch.setattr(rationals, "_class_times", deriving)
+        assert sqrt(A.scalar(a2)) is not None
+        assert read == [a2]
+        assert len(derived) == 3
+        algebra = {abs(square_class(x)[0]) for x in (A.alpha, A.alpha * A.beta)}
+        assert not algebra & {abs(s) for s, _ in derived}
 
     def test_product_of_large_inputs_is_not_factored(self, factor_calls):
         # alpha*beta is a 32-digit semiprime that Pollard rho takes seconds

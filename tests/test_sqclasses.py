@@ -5,13 +5,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import hilbert_oracle_finite, solve_gf2_columns
 
 import quatsqrt.sqclasses as sqclasses
 from quatsqrt.forms import DiagonalForm, _isotropic, is_isotropic, represents
-from quatsqrt.hilbert import _symbol_squarefree
-from quatsqrt.places import _places_over, iter_primes
+from quatsqrt.hilbert import _legendre, _symbol_squarefree
+from quatsqrt.places import Place, _places_over, iter_primes
 from quatsqrt.rationals import _Classed, _square_class, _times, factor, is_square
 from quatsqrt.sqclasses import (
     _PRIME_APPEND_CAP,
@@ -43,6 +44,28 @@ PINNED_PAIRS = [
     ((-3, -5), (-2, -7)),
     ((1, 1), (7, 11)),
 ]
+
+
+def evaluated_symbols(monkeypatch):
+    """Every symbol the search evaluates, through either kernel, as (a, b, v, sym):
+    a Legendre symbol (u/p) is recorded as the Hilbert symbol (u, p)_p it equals."""
+    seen = []
+
+    def symbol(a, b, v):
+        sym = _symbol_squarefree(a, b, v)
+        seen.append((a, b, v, sym))
+        return sym
+
+    def legendre(u, p):
+        # (u/p) = (u, p)_p holds only for a p-unit u.
+        assert u % p, f"Legendre symbol of a non-unit {u} at {p}"
+        sym = _legendre(u, p)
+        seen.append((u, p, Place(p), sym))
+        return sym
+
+    monkeypatch.setattr(sqclasses, "_symbol_squarefree", symbol)
+    monkeypatch.setattr(sqclasses, "_legendre", legendre)
+    return seen
 
 
 def classed(*forms):
@@ -225,6 +248,60 @@ class TestSolveGF2:
             packed = sum(b << k for k, b in enumerate(sol))
             assert packed in brute
 
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # (mask, rhs bit) rows: sparse or dense masks, and zero rows
+                st.lists(st.tuples(st.integers(0, 2**n - 1) | st.just(0), st.integers(0, 1)),
+                         max_size=12),
+                st.integers(0, 2**n - 1),  # columns left empty
+            )
+        )
+    )
+    @example((0, [], 0))
+    @example((0, [(0, 0), (0, 1)], 0))  # no columns: rhs bits alone decide
+    @example((3, [(0b101, 1), (0b011, 1), (0b110, 1)], 0))  # dependent rows, inconsistent
+    @example((4, [(0b1100, 1), (0b0100, 0), (0, 0)], 0b0011))  # columns 0 and 1 empty
+    @example((3, [(0b110, 1), (0b011, 1), (0b001, 1)], 0))  # later pivots clear earlier rows
+    @settings(max_examples=300)
+    def test_matches_column_gauss_jordan(self, system):
+        # Row by row reaches the same reduced row echelon form, so the same
+        # solution or None, as the column-by-column elimination it replaced.
+        n, pairs, empty = system
+        rows = [mask & ~empty for mask, _ in pairs]
+        for rhs in ([bit for _, bit in pairs], [0] * len(rows)):
+            expected = solve_gf2_columns(rows, rhs, n)
+            assert solve_gf2(GF2System(tuple(rows), tuple(rhs), n)) == expected
+
+
+ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+squarefree_ints = st.integers(-200, 200).filter(lambda n: n != 0 and _square_class(n)[0] == n)
+
+
+class TestLegendreShortcuts:
+    """The search reads its odd rows' entries as Legendre symbols of unit
+    parts; each must equal the Hilbert symbol it stands for, by the
+    congruence oracle and by `_symbol_squarefree`."""
+
+    @given(squarefree_ints, st.sampled_from(ODD_PRIMES_TO_31))
+    @settings(max_examples=150, deadline=None)
+    def test_narrow_row_and_appended_diagonal(self, D, p):
+        # (D, p)_p = (D/p) at a narrow row p, and (D, q)_q = (D/q) for an appended q.
+        assume(D % p)
+        expected = hilbert_oracle_finite(D, p, p)
+        assert _legendre(D, p) == _symbol_squarefree(D, p, Place(p)) == expected
+
+    @given(squarefree_ints, squarefree_ints, st.sampled_from(ODD_PRIMES_TO_31))
+    @settings(max_examples=150, deadline=None)
+    def test_wide_row(self, u, c, p):
+        # D = p*u: a p-unit column c gives (c/p), an appended prime q's entry
+        # (q/p) among them, and column p gives (-(D/p)/p).
+        assume(u % p and c % p)
+        D, v = p * u, Place(p)
+        assert _legendre(c, p) == _symbol_squarefree(D, c, v) == hilbert_oracle_finite(D, c, p)
+        assert _legendre(-(D // p), p) == _symbol_squarefree(D, p, v) == hilbert_oracle_finite(D, p, p)
+
 
 class TestCommonValue:
     def test_worked_example(self):
@@ -306,26 +383,21 @@ class TestCommonValue:
 
     @pytest.mark.parametrize("xi, zeta", [CAP_PAIR, ((13, -11), (-6, -2))])
     def test_appended_prime_adds_one_column(self, xi, zeta, monkeypatch):
-        symbols, solves = [], []
-
-        def counting_symbol(a, b, v):
-            sym = _symbol_squarefree(a, b, v)
-            symbols.append((b, v, sym))
-            return sym
+        symbols, solves = evaluated_symbols(monkeypatch), []
 
         def counting_solve(system):
             solves.append(system)
             return solve_gf2(system)
 
-        monkeypatch.setattr(sqclasses, "_symbol_squarefree", counting_symbol)
         monkeypatch.setattr(sqclasses, "solve_gf2", counting_solve)
         assert _common_value(*classed(xi, zeta)) is not None
         start = {2} | {p for x in xi + zeta for p, e in factor(x).factors if e % 2}
         # An appended prime q shows as its own place in the diagonal (D, q)_q.
-        diagonal = [(b, sym) for b, v, sym in symbols if b == v.prime and b not in start]
+        diagonal = [(b, sym) for _, b, v, sym in symbols if b == v.prime and b not in start]
         appended = {q for q, _ in diagonal}
         counted = appended - {q for q, sym in diagonal if sym == -1}
-        per_prime = Counter(b for b, _, _ in symbols if b in appended)
+        # q is either argument: (D, q)_q = (D/q) at its own place, (q/p) = (q, p)_p at a wide row.
+        per_prime = Counter(x for a, b, _, _ in symbols for x in {a, b} & appended)
         assert max(per_prime.values()) <= 2 * (len(start) + 1 + 1)
         assert len(solves) <= len(counted) + 1
         if (xi, zeta) == CAP_PAIR:
@@ -335,17 +407,11 @@ class TestCommonValue:
     def test_evaluates_no_symbol_of_two_odd_units(self, xi, zeta, monkeypatch):
         # (a, b)_p = +1 for p-units a and b at an odd p. Of those, the search
         # reads only the forms' own rhs symbols (b0, b1)_p.
-        seen = []
-
-        def counting(a, b, v):
-            seen.append((a, b, v))
-            return _symbol_squarefree(a, b, v)
-
-        monkeypatch.setattr(sqclasses, "_symbol_squarefree", counting)
+        seen = evaluated_symbols(monkeypatch)
         assert _common_value(*classed(DiagonalForm(xi), DiagonalForm(zeta))) is not None
         entries = {tuple(_square_class(x)[0] for x in form) for form in (xi, zeta)}
         units = [
-            (a, b, v) for a, b, v in seen
+            (a, b, v) for a, b, v, _ in seen
             if v.prime not in (None, 2) and a % v.prime and b % v.prime and (a, b) not in entries
         ]
         assert units == []
@@ -354,16 +420,10 @@ class TestCommonValue:
     def test_evaluates_no_symbol_at_the_real_place_or_two(self, xi, zeta, monkeypatch):
         # The real row is read off signs and the row at 2 is left out, by
         # reciprocity; a narrow row's rhs of two units is not read either.
-        seen = []
-
-        def counting(a, b, v):
-            seen.append((a, b, v))
-            return _symbol_squarefree(a, b, v)
-
-        monkeypatch.setattr(sqclasses, "_symbol_squarefree", counting)
+        seen = evaluated_symbols(monkeypatch)
         assert _common_value(*classed(DiagonalForm(xi), DiagonalForm(zeta))) is not None
-        assert seen and all(v.prime not in (None, 2) for _, _, v in seen)
-        assert [(a, b, v) for a, b, v in seen if a % v.prime and b % v.prime] == []
+        assert seen and all(v.prime not in (None, 2) for _, _, v, _ in seen)
+        assert [(a, b, v) for a, b, v, _ in seen if a % v.prime and b % v.prime] == []
 
     def test_rounds_revalidate_no_system(self, monkeypatch):
         # Each round's system is built unchecked; solve_gf2 still solves it.
