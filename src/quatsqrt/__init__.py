@@ -22,9 +22,7 @@ from .places import (
     Place,
     is_local_square,
     iter_primes,
-    nth_prime,
     parse_place,
-    sign_at_real,
     support_places,
     valuation,
 )
@@ -40,8 +38,6 @@ from .forms import (
 )
 from .sqclasses import (
     GF2System,
-    SingularBasis,
-    SquareClass,
     common_value,
     singular_basis,
     solve_gf2,
@@ -71,9 +67,7 @@ __all__ = [
     "Place",
     "is_local_square",
     "iter_primes",
-    "nth_prime",
     "parse_place",
-    "sign_at_real",
     "support_places",
     "valuation",
     "hasse_invariant",
@@ -87,8 +81,6 @@ __all__ = [
     "represents",
     "solve_conic",
     "GF2System",
-    "SingularBasis",
-    "SquareClass",
     "common_value",
     "singular_basis",
     "solve_gf2",

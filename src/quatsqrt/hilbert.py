@@ -13,6 +13,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
+from .legendre import _legendre
 from .places import Place, _local_classes, _places_over
 from .rationals import RationalLike, _Class, _square_class
 
@@ -25,11 +26,6 @@ def _eps(u: int) -> int:
 def _omega(u: int) -> int:
     # (u^2-1)/8 mod 2: is the odd integer u congruent to +-3 mod 8?
     return ((u * u - 1) // 8) % 2
-
-
-def _legendre(u: int, p: int) -> int:
-    t = pow(u, (p - 1) // 2, p)
-    return 1 if t == 1 else -1
 
 
 def _symbol_squarefree(sa: int, sb: int, v: Place) -> int:

@@ -15,12 +15,17 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 
+def _legendre(u: int, p: int) -> int:
+    """The Legendre symbol (u/p) of a p-unit u, p an odd prime, by Euler's criterion."""
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+
 def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
     """A square root of n modulo the prime p (Tonelli-Shanks), or None."""
     n %= p
     if p == 2 or n == 0:
         return n
-    if pow(n, (p - 1) // 2, p) != 1:
+    if _legendre(n, p) == -1:
         return None
     if p % 4 == 3:
         return pow(n, (p + 1) // 4, p)
@@ -29,7 +34,7 @@ def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
         q //= 2
         s += 1
     z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
+    while _legendre(z, p) == 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
     while t != 1:

@@ -6,6 +6,7 @@ import itertools
 import re
 from typing import Iterable, Iterator, Optional, Union
 
+from .legendre import _legendre
 from .rationals import RationalLike, _small_primes, _square_class, _Value, as_fraction, is_prime
 
 
@@ -83,14 +84,6 @@ def valuation(q: RationalLike, p: Union[int, Place]) -> int:
     return _strip(q.numerator, p)[0] - _strip(q.denominator, p)[0]
 
 
-def sign_at_real(q: RationalLike) -> int:
-    """+1 or -1 according to the sign of a nonzero rational."""
-    q = as_fraction(q)
-    if q == 0:
-        raise ValueError("zero has no sign")
-    return 1 if q > 0 else -1
-
-
 def _local_classes(values: Iterable[RationalLike], v: Place) -> list[int]:
     """The integers standing for the values' square classes at v, each nonzero.
 
@@ -130,7 +123,7 @@ def is_local_square(q: RationalLike, v: Place) -> bool:
         return False
     if p == 2:
         return u % 8 == 1
-    return pow(u, (p - 1) // 2, p) == 1
+    return _legendre(u, p) == 1
 
 
 def iter_primes() -> Iterator[int]:
@@ -138,13 +131,6 @@ def iter_primes() -> Iterator[int]:
     small = _small_primes()[0]
     yield from small
     yield from (k for k in itertools.count(small[-1] + 2, 2) if is_prime(k))
-
-
-def nth_prime(n: int) -> int:
-    """The n-th prime, 1-indexed: nth_prime(1) = 2."""
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
-    return next(itertools.islice(iter_primes(), n - 1, None))
 
 
 def support_places(values: Iterable[RationalLike]) -> list[Place]:

@@ -133,6 +133,8 @@ class Quaternion(_Value):
 
     def __init__(self, algebra: QuaternionAlgebra, q0: RationalLike, q1: RationalLike,
                  q2: RationalLike, q3: RationalLike) -> None:
+        if not isinstance(algebra, QuaternionAlgebra):
+            raise TypeError(f"expected a QuaternionAlgebra, got {type(algebra).__name__}")
         self._set(algebra, as_fraction(q0), as_fraction(q1), as_fraction(q2), as_fraction(q3))
 
     @classmethod
@@ -156,8 +158,7 @@ class Quaternion(_Value):
         return self.q0 == 0
 
     def _same_algebra(self, other: "Quaternion") -> None:
-        if not isinstance(other, Quaternion):
-            raise TypeError(f"expected a Quaternion, got {type(other).__name__}")
+        _expect_quaternion(other)
         if self.algebra != other.algebra:
             raise ValueError("operands live in different quaternion algebras")
 
@@ -240,6 +241,11 @@ class Quaternion(_Value):
         return f"{self.q0} + {self.q1}*i + {self.q2}*j + {self.q3}*k"
 
 
+def _expect_quaternion(q: object) -> None:
+    if not isinstance(q, Quaternion):
+        raise TypeError(f"expected a Quaternion, got {type(q).__name__}")
+
+
 def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
     """A square root of a non-central quaternion, or None.
 
@@ -248,6 +254,7 @@ def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
     The (q0 + d)/2 candidate is tried first. Square tests read unreduced
     integer pairs, so none takes a gcd.
     """
+    _expect_quaternion(q)
     if q.is_central:
         raise ValueError("argument must not be central")
     # Over E, N(q) = (c - x)/E, sqrt(N(q)) = s/E, and q0 = n0*K/E with K = E/D.
@@ -354,6 +361,7 @@ def sqrt(q: Quaternion) -> Optional[Quaternion]:
     the split or non-split central kernel, each fact decided once. Every
     root is re-squared once before it is returned.
     """
+    _expect_quaternion(q)
     if not q.is_central:
         return sqrt_noncentral(q)
     algebra, a = q.algebra, q.q0

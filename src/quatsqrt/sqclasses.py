@@ -34,86 +34,28 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .forms import DiagonalForm, _isotropic, _solve_conic
-from .hilbert import _legendre, _symbol_squarefree
+from .hilbert import _symbol_squarefree
+from .legendre import _legendre
 from .places import Place, iter_primes
-from .rationals import RationalLike, _Classed, _square_class, _times, _Value, is_prime, is_square
+from .rationals import _Classed, _times, _Value, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
 
 
-class SquareClass(_Value):
-    """A square class of Q*, represented by its unique squarefree integer."""
-
-    _fields = ("representative",)
-    representative: int
-
-    def __init__(self, representative: int) -> None:
-        if representative == 0:
-            raise ValueError("zero is not a square class")
-        if _square_class(representative)[0] != representative:
-            raise ValueError(f"{representative} is not squarefree")
-        self._set(representative)
-
-    @classmethod
-    def of(cls, q: RationalLike) -> "SquareClass":
-        return cls(_square_class(q)[0])
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass(_times(self.representative, other.representative))
-
-    def is_singular_for(self, primes: Iterable[int]) -> bool:
-        """Even valuation everywhere outside the given primes."""
-        return set(_square_class(self.representative)[1]) <= set(primes)
-
-
-class SingularBasis(_Value):
-    """The GF(2) basis (-1, p_1, ..., p_s) of the classes singular at {p_i}."""
-
-    _fields = ("primes", "classes")
-    primes: tuple[int, ...]
-    classes: tuple[SquareClass, ...]
-
-    def __init__(self, primes: tuple[int, ...], classes: tuple[SquareClass, ...]) -> None:
-        if any(p >= q for p, q in zip(primes, primes[1:])):
-            raise ValueError("primes must be ascending and distinct")
-        for p in primes:
-            if not is_prime(p):
-                raise ValueError(f"not a prime: {p}")
-        reps = tuple(c.representative for c in classes if isinstance(c, SquareClass))
-        if len(reps) != len(classes) or reps != (-1, *primes):
-            raise ValueError("basis must be (-1, p_1, ..., p_s) in ascending order")
-        self._set(primes, classes)
-
-    @property
-    def dim(self) -> int:
-        return len(self.classes)
-
-    def spanned(self, exponents: Sequence[int]) -> Fraction:
-        """The class representative with the given exponent vector."""
-        if len(exponents) != self.dim:
-            raise ValueError("exponent vector has the wrong length")
-        return Fraction(
-            math.prod(
-                cls.representative
-                for cls, e in zip(self.classes, exponents)
-                if e % 2
-            )
-        )
-
-
-def singular_basis(primes: Iterable[int]) -> SingularBasis:
-    """Basis of the square classes with support inside the given primes."""
-    ps = tuple(sorted(primes))
+def singular_basis(primes: Iterable[int]) -> tuple[int, ...]:
+    """(-1, p_1, ..., p_s) ascending: representatives of a GF(2) basis of the
+    square classes with even valuation at every prime outside the given ones."""
+    ps = sorted(primes)
+    if any(p == q for p, q in zip(ps, ps[1:])):
+        raise ValueError("primes must be distinct")
     for p in ps:
-        # Before SquareClass(p) factors it: a large composite takes seconds.
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
-    return SingularBasis(primes=ps, classes=(SquareClass(-1), *(SquareClass(p) for p in ps)))
+    return (-1, *ps)
 
 
 class GF2System(_Value):

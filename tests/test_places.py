@@ -12,9 +12,7 @@ from quatsqrt.places import (
     Place,
     is_local_square,
     iter_primes,
-    nth_prime,
     parse_place,
-    sign_at_real,
     support_places,
     valuation,
 )
@@ -101,14 +99,6 @@ class TestValuation:
         assert valuation(a * b, p) == valuation(a, p) + valuation(b, p)
 
 
-class TestSignAtReal:
-    def test_basic(self):
-        assert sign_at_real(Fraction(3, 7)) == 1
-        assert sign_at_real(-2) == -1
-        with pytest.raises(ValueError):
-            sign_at_real(0)
-
-
 class TestIsLocalSquare:
     def test_real(self):
         assert is_local_square(2, REAL)
@@ -147,13 +137,6 @@ class TestIsLocalSquare:
 
 
 class TestPrimes:
-    def test_nth(self):
-        assert nth_prime(1) == 2
-        assert nth_prime(4) == 7
-        assert nth_prime(10) == 29
-        with pytest.raises(ValueError):
-            nth_prime(0)
-
     def test_iter_matches_known_list(self):
         import itertools
 

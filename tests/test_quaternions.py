@@ -207,6 +207,18 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             op(H.quaternion(1, 2, 3, 4))
 
+    @pytest.mark.parametrize(
+        "call, type_name",
+        [
+            pytest.param(lambda: sqrt(2.0), "float", id="sqrt(2.0)"),
+            pytest.param(lambda: sqrt_noncentral(1.0), "float", id="sqrt_noncentral(1.0)"),
+            pytest.param(lambda: Quaternion(None, 1, 0, 0, 0), "NoneType", id="Quaternion(None)"),
+        ],
+    )
+    def test_entry_points_name_the_wrong_type(self, call, type_name):
+        with pytest.raises(TypeError, match=f"got {type_name}$"):
+            call()
+
 
 # Inputs of the integer kernel: alpha and beta negative and non-integer,
 # coordinates over coprime, shared and (30 digits and up) large denominators.

@@ -17,8 +17,6 @@ from quatsqrt.rationals import _Classed, _square_class, _times, factor, is_squar
 from quatsqrt.sqclasses import (
     _PRIME_APPEND_CAP,
     GF2System,
-    SingularBasis,
-    SquareClass,
     _certified,
     _common_value,
     common_value,
@@ -106,44 +104,12 @@ def dense_common_value(xi, zeta, cap=400):
     raise RuntimeError("reference search exceeded its cap")
 
 
-class TestSquareClass:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SquareClass(0)
-        with pytest.raises(ValueError):
-            SquareClass(12)
-        SquareClass(-30)  # fine
-
-    def test_of(self):
-        assert SquareClass.of(Fraction(8, 9)) == SquareClass(2)
-        assert SquareClass.of(-4) == SquareClass(-1)
-        assert SquareClass.of(Fraction(1, 2)) == SquareClass(2)
-
-    def test_group_law(self):
-        assert SquareClass(2) * SquareClass(6) == SquareClass(3)
-        assert SquareClass(-1) * SquareClass(-1) == SquareClass(1)
-
-    def test_singular(self):
-        assert SquareClass(6).is_singular_for((2, 3))
-        assert not SquareClass(6).is_singular_for((2, 5))
-        assert SquareClass(-1).is_singular_for(())
-
-    def test_product_factors_only_its_representative(self, factor_calls):
-        a, b = SquareClass(2), SquareClass(6)
-        factor_calls.clear()
-        assert (a * b).representative == 3
-        assert factor_calls == [3]  # the check of 3, never the product 12
-
-
 class TestSingularBasis:
     def test_structure(self):
-        basis = singular_basis((5, 2))
-        assert basis.primes == (2, 5)
-        assert basis.classes == (SquareClass(-1), SquareClass(2), SquareClass(5))
-        assert basis.dim == 3
+        assert singular_basis((5, 2)) == (-1, 2, 5)
 
     def test_empty(self):
-        assert singular_basis(()).classes == (SquareClass(-1),)
+        assert singular_basis(()) == (-1,)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -151,47 +117,26 @@ class TestSingularBasis:
         with pytest.raises(ValueError):
             singular_basis((4,))
 
-    @pytest.mark.parametrize("primes", [(5, 2), (6,), (2, 2)])
-    def test_direct_construction_checks_primes(self, primes):
-        classes = (SquareClass(-1), *map(SquareClass, primes))
-        with pytest.raises(ValueError):
-            SingularBasis(primes=primes, classes=classes)
-
-    def test_classes_must_match_primes(self):
-        with pytest.raises(ValueError):
-            SingularBasis(primes=(2, 5), classes=(SquareClass(-1), SquareClass(5), SquareClass(2)))
-        with pytest.raises(ValueError):
-            SingularBasis(primes=(2,), classes=(-1, 2))
-
-    def test_factors_each_class_once(self, factor_calls):
-        singular_basis((7, 2, 3))
-        assert factor_calls == [-1, 2, 3, 7]
+    def test_factors_nothing(self, factor_calls):
+        assert singular_basis((7, 2, 3)) == (-1, 2, 3, 7)
+        assert factor_calls == []
 
     def test_composite_rejected_before_factoring(self, factor_calls):
         with pytest.raises(ValueError, match="not a prime"):
             singular_basis((3, 1000000000000037 * 1000000000000091))
         assert factor_calls == []
 
-    def test_spanned(self):
-        basis = singular_basis((2, 5))
-        assert basis.spanned((1, 0, 1)) == -5
-        assert basis.spanned((0, 0, 0)) == 1
-        with pytest.raises(ValueError):
-            basis.spanned((1, 0))
-
     def test_members_are_singular_and_independent(self):
-        basis = singular_basis((2, 3, 7))
-        for cls in basis.classes:
-            assert cls.is_singular_for(basis.primes)
-        # F2-independence: no nonempty subproduct is the trivial class
+        primes = (2, 3, 7)
+        basis = singular_basis(primes)
+        for s in basis:
+            assert set(_square_class(s)[1]) <= set(primes)
+        # GF(2)-independence: no nonempty subproduct is a square
         import itertools
 
-        for r in range(1, basis.dim + 1):
-            for subset in itertools.combinations(basis.classes, r):
-                prod = SquareClass(1)
-                for cls in subset:
-                    prod = prod * cls
-                assert prod != SquareClass(1)
+        for r in range(1, len(basis) + 1):
+            for subset in itertools.combinations(basis, r):
+                assert is_square(math.prod(subset)) is None
 
 
 class TestSolveGF2:

@@ -1,4 +1,4 @@
-"""The value-class contract: the package's eight immutable classes compare,
+"""The value-class contract: the package's six immutable classes compare,
 hash, print, copy and refuse mutation by their fields, and importing the
 package loads neither `dataclasses` nor `inspect`."""
 
@@ -17,13 +17,10 @@ from quatsqrt import (
     Place,
     Quaternion,
     QuaternionAlgebra,
-    SingularBasis,
-    SquareClass,
 )
 
 F = Fraction
 ALGEBRA_REPR = "QuaternionAlgebra(alpha=Fraction(-1, 1), beta=Fraction(3, 2))"
-BASIS = (SquareClass(-1), SquareClass(2), SquareClass(3))
 
 # (build, field names, field values, repr)
 CASES = {
@@ -40,19 +37,6 @@ CASES = {
         ("entries",),
         ((F(1), F(-2, 3)),),
         "DiagonalForm(entries=(Fraction(1, 1), Fraction(-2, 3)))",
-    ),
-    "SquareClass": (
-        lambda: SquareClass(-6),
-        ("representative",),
-        (-6,),
-        "SquareClass(representative=-6)",
-    ),
-    "SingularBasis": (
-        lambda: SingularBasis(primes=(2, 3), classes=BASIS),
-        ("primes", "classes"),
-        ((2, 3), BASIS),
-        "SingularBasis(primes=(2, 3), classes=(SquareClass(representative=-1), "
-        "SquareClass(representative=2), SquareClass(representative=3)))",
     ),
     "GF2System": (
         lambda: GF2System((1, 3), (0, 1), 2),
