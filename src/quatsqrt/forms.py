@@ -20,7 +20,8 @@ from typing import Iterator, Optional, Sequence
 from .hilbert import _hasse, _symbol_squarefree
 from .legendre import _legendre_zero
 from .places import Place, _local_classes, _places_over, is_local_square
-from .rationals import RationalLike, _Classed, _sqrt_ratio, _times, _Value, as_fraction, is_square
+from .rationals import (RationalLike, _Classed, _expect, _sqrt_ratio, _times, _Value, as_fraction,
+                        is_square)
 
 Vector = tuple[Fraction, ...]
 
@@ -93,6 +94,7 @@ def _isotropic(entries: Sequence[_Classed]) -> bool:
 
 def is_isotropic_local(form: DiagonalForm, v: Place) -> bool:
     """Whether the form has a nontrivial zero over the completion at v."""
+    _expect(form, DiagonalForm)
     return _isotropic_at(_local_classes(form, v), v)
 
 
@@ -103,6 +105,7 @@ def is_isotropic(form: DiagonalForm) -> bool:
     on, Hasse-Minkowski reduces the question to the real place, 2, and the
     odd primes appearing in the entries' squarefree parts.
     """
+    _expect(form, DiagonalForm)
     n = form.dim
     if n == 1:
         return False
@@ -165,6 +168,7 @@ def solve_conic(
 
 def isotropic_vector(form: DiagonalForm) -> Optional[Vector]:
     """A nontrivial exact zero of a ternary form, or None when anisotropic."""
+    _expect(form, DiagonalForm)
     if form.dim != 3:
         raise ValueError("isotropic_vector expects a ternary form")
     a, b, c = form.entries
@@ -182,6 +186,7 @@ def isotropic_to_universal(
     vector U = e_i that pairs nontrivially with the isotropic vector V and
     return W = U + ((target - form(U)) / polar(U, V)) * V.
     """
+    _expect(form, DiagonalForm)
     vec = _vector(vec, form.dim)
     target = as_fraction(target)
     if target == 0:
@@ -201,6 +206,7 @@ def isotropic_to_universal(
 
 def represents(form: DiagonalForm, d: RationalLike) -> Optional[tuple[Fraction, Fraction]]:
     """(u, v) with x0*u^2 + x1*v^2 = d for a binary form <x0, x1>, or None."""
+    _expect(form, DiagonalForm)
     if form.dim != 2:
         raise ValueError("represents expects a binary form")
     d = as_fraction(d)

@@ -7,7 +7,8 @@ import re
 from typing import Iterable, Iterator, Optional, Union
 
 from .legendre import _legendre
-from .rationals import RationalLike, _small_primes, _square_class, _Value, as_fraction, is_prime
+from .rationals import (RationalLike, _expect, _small_primes, _square_class, _Value, as_fraction,
+                        is_prime)
 
 
 class Place(_Value):
@@ -28,13 +29,6 @@ class Place(_Value):
     @classmethod
     def finite(cls, p: int) -> "Place":
         return cls(p)
-
-    @classmethod
-    def _unchecked(cls, p: int) -> "Place":
-        """The finite place at p, for a p its caller has already proven prime."""
-        place = object.__new__(cls)
-        object.__setattr__(place, "prime", p)
-        return place
 
     @property
     def is_real(self) -> bool:
@@ -91,8 +85,7 @@ def _local_classes(values: Iterable[RationalLike], v: Place) -> list[int]:
     Only v is read, so no local question factors a value. The place is
     checked once, up front, so an empty list of values checks it too.
     """
-    if not isinstance(v, Place):
-        raise TypeError(f"expected a Place, got {type(v).__name__}")
+    _expect(v, Place)
     return [_local_class(q, v) for q in values]
 
 

@@ -5,7 +5,8 @@ k = ij = -ji. Square roots split into cases: non-central elements reduce to
 square tests on the norm, central elements to isotropy and norm equations of
 the attached quadratic forms. Each routine re-squares the root it builds,
 once, on integers: every coordinate of the square is cross-multiplied with
-the target's, and `sqrt` returns that root as it is.
+the target's, and `sqrt` returns that root as it is. Non-central and split
+roots are checked on the integer pairs their Fractions are then built from.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .forms import DiagonalForm, _isotropic_at, _solve_conic
 from .hilbert import _obstructions
 from .places import Place, is_local_square
-from .rationals import RationalLike, _Classed, _sqrt_ratio, _Value, as_fraction, is_square
+from .rationals import RationalLike, _Classed, _expect, _sqrt_ratio, _Value, as_fraction, is_square
 from .sqclasses import _search_common_value
 
 _ZERO = Fraction(0)
@@ -133,16 +134,8 @@ class Quaternion(_Value):
 
     def __init__(self, algebra: QuaternionAlgebra, q0: RationalLike, q1: RationalLike,
                  q2: RationalLike, q3: RationalLike) -> None:
-        if not isinstance(algebra, QuaternionAlgebra):
-            raise TypeError(f"expected a QuaternionAlgebra, got {type(algebra).__name__}")
+        _expect(algebra, QuaternionAlgebra)
         self._set(algebra, as_fraction(q0), as_fraction(q1), as_fraction(q2), as_fraction(q3))
-
-    @classmethod
-    def _unchecked(cls, algebra: QuaternionAlgebra, *coords: Fraction) -> "Quaternion":
-        """A quaternion whose caller has built its four coordinates as Fractions."""
-        q = object.__new__(cls)
-        q._set(algebra, *coords)
-        return q
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -158,7 +151,7 @@ class Quaternion(_Value):
         return self.q0 == 0
 
     def _same_algebra(self, other: "Quaternion") -> None:
-        _expect_quaternion(other)
+        _expect(other, Quaternion)
         if self.algebra != other.algebra:
             raise ValueError("operands live in different quaternion algebras")
 
@@ -204,9 +197,12 @@ class Quaternion(_Value):
         return Quaternion(self.algebra, self.q0, -self.q1, -self.q2, -self.q3)
 
     def _scaled(self) -> tuple[int, tuple[int, int, int, int]]:
-        """(D, (n0, n1, n2, n3)) with q_i = n_i/D over D, the lcm of the denominators."""
-        D = math.lcm(*[x.denominator for x in self.coords])
-        return D, tuple([x.numerator * (D // x.denominator) for x in self.coords])
+        """(D, (n0, n1, n2, n3)) with q_i = n_i/D, D the lcm of the as_integer_ratio() pairs."""
+        (n0, d0), (n1, d1), (n2, d2), (n3, d3) = (
+            self.q0.as_integer_ratio(), self.q1.as_integer_ratio(),
+            self.q2.as_integer_ratio(), self.q3.as_integer_ratio())
+        D = math.lcm(d0, d1, d2, d3)
+        return D, (n0 * (D // d0), n1 * (D // d1), n2 * (D // d2), n3 * (D // d3))
 
     def _norm_ints(self) -> tuple[int, int, int, int, tuple[int, int, int, int]]:
         """(E, c, x, D, n) with q_i = n_i/D, q0^2 = c/E, E = D^2*den(alpha)*den(beta) and
@@ -241,9 +237,20 @@ class Quaternion(_Value):
         return f"{self.q0} + {self.q1}*i + {self.q2}*j + {self.q3}*k"
 
 
-def _expect_quaternion(q: object) -> None:
-    if not isinstance(q, Quaternion):
-        raise TypeError(f"expected a Quaternion, got {type(q).__name__}")
+def _checked_root(algebra: QuaternionAlgebra, x0: int, y0: int, pure: Sequence[int],
+                  y: int, D: int, n: Sequence[int], what: str) -> Quaternion:
+    """x0/y0 + (x1*i + x2*j + x3*k)/y, built from these pairs once its square, with scalar
+    part x0^2/y0^2 + (alpha*x1^2 + beta*x2^2 - alpha*beta*x3^2)/y^2 and pure parts
+    2*x0*x_i/(y0*y), is checked to be n/D by cross-multiplying on integers."""
+    an, ad, bn, bd = algebra._ints
+    (x1, x2, x3), (n0, n1, n2, n3) = pure, n
+    F, yy, m, w = ad * bd * y * y, y0 * y0, 2 * x0 * D, y0 * y
+    P = an * bd * x1 * x1 + bn * ad * x2 * x2 - an * bn * x3 * x3
+    if not ((x0 * x0 * F + P * yy) * D == n0 * yy * F
+            and m * x1 == n1 * w and m * x2 == n2 * w and m * x3 == n3 * w):
+        raise RuntimeError(f"{what} failed re-squaring")
+    return Quaternion._unchecked(algebra, Fraction(x0, y0), Fraction(x1, y), Fraction(x2, y),
+                                 Fraction(x3, y))
 
 
 def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
@@ -252,27 +259,29 @@ def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
     r^2 = q forces N(r)^2 = N(q) and 2*r0^2 - N(r) = q0, so r0^2 is one of
     (q0 +- d)/2 with d^2 = N(q); the pure part of r is then q_pure / (2*r0).
     The (q0 + d)/2 candidate is tried first. Square tests read unreduced
-    integer pairs, so none takes a gcd.
+    integer pairs, so none takes a gcd. The root's pairs (t, 2E) and
+    (n_i*K, t) are checked against q's own (D, n), then become Fractions.
     """
-    _expect_quaternion(q)
+    _expect(q, Quaternion)
     if q.is_central:
         raise ValueError("argument must not be central")
+    return _sqrt_noncentral(q)
+
+
+def _sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
     # Over E, N(q) = (c - x)/E, sqrt(N(q)) = s/E, and q0 = n0*K/E with K = E/D.
-    E, c, x, D, (n0, *pure) = q._norm_ints()
+    E, c, x, D, n = q._norm_ints()
     s = _sqrt_ratio(c - x, E)
     if s is None:
         return None
+    n0, n1, n2, n3 = n
     K = E // D
     for m in (n0 * K + s, n0 * K - s):
         # r0^2 = m/(2E), so r0 = t/(2E) and r_i = q_i/(2*r0) = n_i*K/t.
         t = _sqrt_ratio(m, 2 * E)
-        if not t:
-            continue
-        root = Quaternion._unchecked(q.algebra, Fraction(t, 2 * E),
-                                     *[Fraction(n * K, t) for n in pure])
-        if not root._squares_to(*q.coords):
-            raise RuntimeError("non-central root candidate failed re-squaring")
-        return root
+        if t:
+            return _checked_root(q.algebra, t, 2 * E, (n1 * K, n2 * K, n3 * K), t, D, n,
+                                 "non-central root candidate")
     return None
 
 
@@ -289,9 +298,11 @@ def sqrt_central_split(algebra: QuaternionAlgebra, a: RationalLike) -> Quaternio
     The pure norm form of a split algebra is isotropic, hence universal, so a
     pure quaternion of norm -a (which squares to a) always exists. With the
     form's entries E/F, the cached isotropic vector N/M and a = A/D, it is
-    `isotropic_to_universal`'s W on ints: W_k = (delta_ik*Q + P*N_k)/Q with
-    P = -A*F - E_i*D and Q = 2*D*E_i*N_i, one Fraction per coordinate.
+    `isotropic_to_universal`'s W on ints: W_k = w_k/Q with w_k = delta_ik*Q + P*N_k,
+    P = -A*F - E_i*D and Q = 2*D*E_i*N_i, checked on the pairs (w_k, Q) with
+    the algebra's own alpha and beta, not the cached E and F.
     """
+    _expect(algebra, QuaternionAlgebra)
     a = as_fraction(a)
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -302,10 +313,10 @@ def sqrt_central_split(algebra: QuaternionAlgebra, a: RationalLike) -> Quaternio
 
 def _sqrt_split(algebra: QuaternionAlgebra, a: Fraction) -> Quaternion:
     F, E, N, i = algebra._pure_ints
-    A, D = a.numerator, a.denominator
+    A, D = a.as_integer_ratio()
     P, Q = -A * F - E[i] * D, 2 * D * E[i] * N[i]
-    w = [Fraction(P * n + Q if k == i else P * n, Q) for k, n in enumerate(N)]
-    return _resquared(Quaternion._unchecked(algebra, _ZERO, *w), a, "split central")
+    w = [P * n + Q if k == i else P * n for k, n in enumerate(N)]
+    return _checked_root(algebra, 0, 1, w, Q, D, (A, 0, 0, 0), "split central root")
 
 
 def sqrt_central_nonsplit(
@@ -322,6 +333,7 @@ def sqrt_central_nonsplit(
     give the pure root r = (v*i + l0*j + l1*k)/m0, since
     r^2 = (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
     """
+    _expect(algebra, QuaternionAlgebra)
     a = as_fraction(a)
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -361,9 +373,9 @@ def sqrt(q: Quaternion) -> Optional[Quaternion]:
     the split or non-split central kernel, each fact decided once. Every
     root is re-squared once before it is returned.
     """
-    _expect_quaternion(q)
+    _expect(q, Quaternion)
     if not q.is_central:
-        return sqrt_noncentral(q)
+        return _sqrt_noncentral(q)
     algebra, a = q.algebra, q.q0
     if (c := is_square(a)) is not None:
         return _resquared(Quaternion._unchecked(algebra, c, _ZERO, _ZERO, _ZERO), a, "scalar")

@@ -52,6 +52,12 @@ def as_fraction(q: RationalLike) -> Fraction:
     raise TypeError(f"expected an int or Fraction, got {type(q).__name__}")
 
 
+def _expect(value: object, cls: type) -> None:
+    """Reject a value that is not a `cls` with a TypeError naming its type."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the "n" / "n/d" grammar in ASCII digits (optional leading minus on n)."""
     if not _RATIONAL_RE.fullmatch(text):
@@ -232,7 +238,8 @@ def _factor_int(n: int) -> dict[int, int]:
 
 class _Value:
     """An immutable value, compared, hashed and printed by the attributes in `_fields`, in order.
-    Assigning or deleting an attribute raises AttributeError; `__init__` stores through `_set`."""
+    Assigning or deleting an attribute raises AttributeError; `__init__` stores through `_set`,
+    and `_unchecked` skips `__init__`'s checks for fields its caller has already built valid."""
 
     def __init_subclass__(cls) -> None:
         get = operator.attrgetter(*cls._fields)
@@ -240,8 +247,13 @@ class _Value:
         cls.__match_args__ = cls._fields
 
     def _set(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
+
+    @classmethod
+    def _unchecked(cls, *values: object) -> "_Value":
+        value = object.__new__(cls)
+        value._set(*values)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -286,14 +298,6 @@ class Factorization(_Value):
                 raise ValueError(f"not a prime: {p}")
             prev = p
         self._set(sign, factors)
-
-    @classmethod
-    def _unchecked(cls, sign: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
-        """A factorization `factor` has built: its primes are already proven."""
-        fac = object.__new__(cls)
-        object.__setattr__(fac, "sign", sign)
-        object.__setattr__(fac, "factors", factors)
-        return fac
 
     def value(self) -> Fraction:
         out = Fraction(self.sign)

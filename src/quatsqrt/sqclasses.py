@@ -41,7 +41,7 @@ from .forms import DiagonalForm, _isotropic, _solve_conic
 from .hilbert import _symbol_squarefree
 from .legendre import _legendre
 from .places import Place, iter_primes
-from .rationals import _Classed, _times, _Value, is_prime, is_square
+from .rationals import _Classed, _expect, _times, _Value, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
 
@@ -78,13 +78,6 @@ class GF2System(_Value):
             raise ValueError("rhs entries must be bits")
         self._set(rows, rhs, ncols)
 
-    @classmethod
-    def _unchecked(cls, rows: tuple[int, ...], rhs: tuple[int, ...], ncols: int) -> "GF2System":
-        """A system whose caller has built its masks inside ncols and its rhs as bits."""
-        system = object.__new__(cls)
-        system._set(rows, rhs, ncols)
-        return system
-
 
 def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:
     """One solution of the system (free variables set to 0), or None.
@@ -95,6 +88,7 @@ def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:
     which is cleared from the others. That is the unique reduced row echelon
     form, pivots in ascending columns, so the solution is Gauss-Jordan's.
     """
+    _expect(system, GF2System)
     n = system.ncols
     pivots: dict[int, int] = {}  # pivot bit -> its reduced augmented row
     for mask, bit in zip(system.rows, system.rhs):
@@ -145,6 +139,8 @@ def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
     local conditions admit a solution. The result is re-verified against both
     forms before being returned.
     """
+    _expect(xi, DiagonalForm)
+    _expect(zeta, DiagonalForm)
     if xi.dim != 2 or zeta.dim != 2:
         raise ValueError("common_value expects binary forms")
     found = _common_value(*([_Classed(x) for x in form] for form in (xi, zeta)))

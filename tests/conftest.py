@@ -4,7 +4,8 @@ The acceptance tests record one line per criterion here; the hook below
 replays them after the run so they stay visible despite output capture.
 The factor_calls fixture records every argument handed to `factor`, and
 square_calls every quaternion that is squared: the receivers of
-`Quaternion.square` and of the integer re-squaring check `_squares_to`.
+`Quaternion.square` and of the integer re-squaring check `_squares_to`, and
+the roots that `quaternions._checked_root` checks on integer pairs.
 """
 
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import quatsqrt.quaternions as quaternions
 import quatsqrt.rationals as rationals
 from quatsqrt.quaternions import Quaternion
 
@@ -49,7 +51,8 @@ def factor_calls(monkeypatch):
 
 @pytest.fixture
 def square_calls(monkeypatch):
-    """The receivers of every `Quaternion.square` and `Quaternion._squares_to` call."""
+    """The receivers of every `Quaternion.square` and `Quaternion._squares_to` call,
+    and the root of every `_checked_root` call."""
     calls = []
 
     def counting(method):
@@ -58,8 +61,15 @@ def square_calls(monkeypatch):
             return method(q, *args)
         return wrapper
 
+    def checked(*args):
+        root = checked_root(*args)
+        calls.append(root)
+        return root
+
     for name in ("square", "_squares_to"):
         monkeypatch.setattr(Quaternion, name, counting(getattr(Quaternion, name)))
+    checked_root = quaternions._checked_root
+    monkeypatch.setattr(quaternions, "_checked_root", checked)
     return calls
 
 

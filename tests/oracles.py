@@ -164,6 +164,12 @@ def quaternion_square(alpha, beta, q):
     return (2 * q0 * q0 - quaternion_norm(alpha, beta, q), 2 * q0 * q1, 2 * q0 * q2, 2 * q0 * q3)
 
 
+def scaled(q):
+    """(D, (n0, n1, n2, n3)) with q_k = n_k/D and D the lcm of the denominators."""
+    D = math.lcm(*[x.denominator for x in q])
+    return D, tuple([x.numerator * (D // x.denominator) for x in q])
+
+
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     """The nonnegative square root of q in Q, or None."""
     if q < 0:

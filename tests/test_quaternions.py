@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 import quatsqrt.quaternions as quaternions_module
 import quatsqrt.rationals as rationals
 import quatsqrt.sqclasses as sqclasses_module
-from quatsqrt.forms import DiagonalForm, is_isotropic
+from quatsqrt.forms import (
+    DiagonalForm,
+    is_isotropic,
+    is_isotropic_local,
+    isotropic_to_universal,
+    isotropic_vector,
+    represents,
+)
 from quatsqrt.hilbert import hilbert_symbol
 from quatsqrt.places import REAL, Place, is_local_square
 from quatsqrt.quaternions import (
@@ -24,7 +31,7 @@ from quatsqrt.quaternions import (
     sqrt_noncentral,
 )
 from quatsqrt.rationals import _Classed, is_square
-from quatsqrt.sqclasses import _common_value
+from quatsqrt.sqclasses import _common_value, common_value, solve_gf2
 
 import oracles
 from oracles import hilbert_oracle_finite, hilbert_oracle_real
@@ -213,6 +220,21 @@ class TestArithmetic:
             pytest.param(lambda: sqrt(2.0), "float", id="sqrt(2.0)"),
             pytest.param(lambda: sqrt_noncentral(1.0), "float", id="sqrt_noncentral(1.0)"),
             pytest.param(lambda: Quaternion(None, 1, 0, 0, 0), "NoneType", id="Quaternion(None)"),
+            pytest.param(lambda: common_value(DiagonalForm((1, 2)), 2.0), "float",
+                         id="common_value(form, 2.0)"),
+            pytest.param(lambda: common_value(2.0, DiagonalForm((1, 2))), "float",
+                         id="common_value(2.0, form)"),
+            pytest.param(lambda: is_isotropic(2.0), "float", id="is_isotropic(2.0)"),
+            pytest.param(lambda: isotropic_vector(2.0), "float", id="isotropic_vector(2.0)"),
+            pytest.param(lambda: represents(2.0, 1), "float", id="represents(2.0, 1)"),
+            pytest.param(lambda: isotropic_to_universal(2.0, (1, 1, 1), 1), "float",
+                         id="isotropic_to_universal(2.0)"),
+            pytest.param(lambda: is_isotropic_local(2.0, Place(3)), "float",
+                         id="is_isotropic_local(2.0)"),
+            pytest.param(lambda: sqrt_central_split(2.0, 1), "float", id="sqrt_central_split(2.0)"),
+            pytest.param(lambda: sqrt_central_nonsplit(2.0, 1), "float",
+                         id="sqrt_central_nonsplit(2.0)"),
+            pytest.param(lambda: solve_gf2(2.0), "float", id="solve_gf2(2.0)"),
         ],
     )
     def test_entry_points_name_the_wrong_type(self, call, type_name):
@@ -298,6 +320,36 @@ class TestIntegerKernel:
                 moved[k] = t + Fraction(step, t.denominator)
                 assert r._squares_to(*moved) == (r.square() == r.algebra.quaternion(*moved))
 
+    @given(kernel_params, kernel_params, kernel_coords())
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_matches_the_lcm_formula(self, alpha, beta, coords):
+        assert QuaternionAlgebra(alpha, beta).quaternion(*coords)._scaled() == oracles.scaled(coords)
+
+    @given(kernel_params, kernel_params, st.booleans(), st.tuples(*[kernel_numerators] * 4),
+           kernel_denominators, kernel_denominators, st.sampled_from((1, -1)))
+    @settings(max_examples=200, deadline=None)
+    def test_checked_root_agrees_with_square(self, alpha, beta, split, xs, y0, y, sign):
+        # Non-central pairs (x0, y0), (x_i, y), unreduced; split ones (0, 1), (w_k, Q) with
+        # Q of either sign. The exact square passes, and each +-1/den near miss of one
+        # target coordinate passes exactly when the root squares to it.
+        A = QuaternionAlgebra(alpha, beta)
+        x0, *pure = xs
+        x0, y0, y = (0, 1, sign * y) if split else (x0, y0, y)
+        r = Quaternion._unchecked(A, Fraction(x0, y0), *[Fraction(x, y) for x in pure])
+        target = r.square().coords
+        targets = [target] + [
+            tuple(t + Fraction(step, t.denominator) if j == k else t for j, t in enumerate(target))
+            for k in range(4) for step in (1, -1)]
+        for moved in targets:
+            D, n = oracles.scaled(moved)
+            try:
+                root = quaternions_module._checked_root(A, x0, y0, pure, y, D, n, "test root")
+            except RuntimeError:
+                root = None
+            squares = r.square() == A.quaternion(*moved)
+            assert (root is not None) == squares
+            assert root is None or root == r
+
     @given(kernel_cases)
     @settings(max_examples=200, deadline=None)
     def test_sqrt_noncentral_matches_the_fraction_formulas(self, case):
@@ -322,6 +374,21 @@ class TestSqrtNoncentral:
     def test_central_rejected(self):
         with pytest.raises(ValueError):
             sqrt_noncentral(H.scalar(4))
+
+    def test_scales_to_integers_once(self, monkeypatch):
+        # q is scaled once; the root is checked on the integer pairs it is built from.
+        calls = []
+        scaled = Quaternion._scaled
+
+        def counting(q):
+            calls.append(q)
+            return scaled(q)
+
+        monkeypatch.setattr(Quaternion, "_scaled", counting)
+        q = B25.quaternion(Fraction(7, 3), 2, Fraction(-1, 6), Fraction(5, 2)).square()
+        calls.clear()
+        assert sqrt(q) is not None
+        assert calls == [q]
 
     def test_corrupt_scalar_part_fails_the_resquaring(self, monkeypatch):
         # t + 1 for t moves r0 = t/(2E), and r_i = n_i*K/t moves with it, so the
@@ -452,6 +519,17 @@ class TestSqrtCentralSplit:
         else:
             data[field] = tuple(x + 1 if j == k else x for j, x in enumerate(data[field]))
         monkeypatch.setitem(A.__dict__, "_pure_ints", tuple(data))
+        with pytest.raises(RuntimeError, match="split central root failed re-squaring"):
+            sqrt(A.scalar(7))
+
+    def test_check_reads_the_algebra_not_its_cache(self, monkeypatch):
+        # Another split algebra's cached integers, with the same den(alpha)*den(beta),
+        # build a root of 7 in that algebra; only alpha and beta themselves refuse it.
+        A = QuaternionAlgebra(Fraction(3, 2), Fraction(-1, 2))
+        other = QuaternionAlgebra(Fraction(1, 2), Fraction(1, 2))
+        assert other.is_split() and other._pure_ints[0] == A._pure_ints[0]
+        assert sqrt(other.scalar(7)).coords != sqrt(A.scalar(7)).coords
+        monkeypatch.setitem(A.__dict__, "_pure_ints", other._pure_ints)
         with pytest.raises(RuntimeError, match="split central root failed re-squaring"):
             sqrt(A.scalar(7))
 
