@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .hilbert import _hasse, _symbol_squarefree
 from .legendre import _legendre_zero
-from .places import Place, _local_classes, _places_over, is_local_square
+from .places import Place, _local_classes, _local_square, _places_over
 from .rationals import (RationalLike, _Classed, _expect, _sqrt_ratio, _times, _Value, as_fraction,
                         is_square)
 
@@ -40,6 +41,7 @@ class DiagonalForm(_Value):
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Sequence[RationalLike]) -> None:
+        _expect(entries, Iterable)
         entries = tuple(as_fraction(x) for x in entries)
         if not entries:
             raise ValueError("a diagonal form needs at least one entry")
@@ -77,13 +79,13 @@ def _isotropic_at(reps: Sequence[int], v: Place) -> bool:
     if v.is_real:
         return min(reps) < 0 < max(reps)
     if n <= 2:
-        return n == 2 and is_local_square(-det, v)
+        return n == 2 and _local_square(-det, v)
     if n >= 5:
         return True
     hasse = _hasse(reps, v)
     if n == 3:
         return hasse == _symbol_squarefree(-1, -det, v)
-    return not (is_local_square(det, v) and hasse == -_symbol_squarefree(-1, -1, v))
+    return not (_local_square(det, v) and hasse == -_symbol_squarefree(-1, -1, v))
 
 
 def _isotropic(entries: Sequence[_Classed]) -> bool:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Iterator, Optional, Union
+from collections.abc import Iterable
+from typing import Iterator, Optional, Union
 
 from .legendre import _legendre
 from .rationals import (RationalLike, _expect, _small_primes, _square_class, _Value, as_fraction,
@@ -86,6 +87,7 @@ def _local_classes(values: Iterable[RationalLike], v: Place) -> list[int]:
     checked once, up front, so an empty list of values checks it too.
     """
     _expect(v, Place)
+    _expect(values, Iterable)
     return [_local_class(q, v) for q in values]
 
 
@@ -103,20 +105,21 @@ def _local_class(q: RationalLike, v: Place) -> int:
 
 
 def is_local_square(q: RationalLike, v: Place) -> bool:
-    """Whether q is a square in the completion at v.
-
-    Real place: positivity.  Odd p: even valuation and the unit part a
-    quadratic residue.  p = 2: even valuation and the odd part 1 mod 8.
-    """
+    """Whether q is a square in the completion at v: `_local_square` of its class at v."""
     (u,) = _local_classes((q,), v)
+    return _local_square(u, v)
+
+
+def _local_square(u: int, v: Place) -> bool:
+    """Whether the integer u != 0 is a square at v: u > 0 at the real place; else an even
+    valuation and a unit part that is a residue mod odd p, or 1 mod 8 at p = 2."""
     if v.is_real:
         return u > 0
     p = v.prime
-    if u % p == 0:
+    k, u = _strip(u, p)
+    if k % 2:
         return False
-    if p == 2:
-        return u % 8 == 1
-    return _legendre(u, p) == 1
+    return u % 8 == 1 if p == 2 else _legendre(u, p) == 1
 
 
 def iter_primes() -> Iterator[int]:
@@ -132,6 +135,7 @@ def support_places(values: Iterable[RationalLike]) -> list[Place]:
     Outside this list every Hilbert symbol built from the values is +1, so
     local checks over it decide global questions.
     """
+    _expect(values, Iterable)
     return _places_over(p for q in values for p in _square_class(q)[1])
 
 

@@ -5,8 +5,8 @@ k = ij = -ji. Square roots split into cases: non-central elements reduce to
 square tests on the norm, central elements to isotropy and norm equations of
 the attached quadratic forms. Each routine re-squares the root it builds,
 once, on integers: every coordinate of the square is cross-multiplied with
-the target's, and `sqrt` returns that root as it is. Non-central and split
-roots are checked on the integer pairs their Fractions are then built from.
+the target's, and `sqrt` returns that root as it is. `_checked_root` checks
+every root on the integer pairs its Fractions are then built from.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 from .forms import DiagonalForm, _isotropic_at, _solve_conic
 from .hilbert import _obstructions
-from .places import Place, is_local_square
+from .places import Place, _local_square
 from .rationals import RationalLike, _Classed, _expect, _sqrt_ratio, _Value, as_fraction, is_square
 from .sqclasses import _search_common_value
 
@@ -224,15 +224,6 @@ class Quaternion(_Value):
         pure = [Fraction(2 * n0 * n, D * D) for n in pure] if n0 else (_ZERO, _ZERO, _ZERO)
         return Quaternion._unchecked(self.algebra, Fraction(c + x, E), *pure)
 
-    def _squares_to(self, t0: Fraction, t1: Fraction, t2: Fraction, t3: Fraction) -> bool:
-        """Whether q*q = t0 + t1*i + t2*j + t3*k: (c + x)/E and 2*n0*n_i/D^2, cross-multiplied."""
-        E, c, x, D, (n0, n1, n2, n3) = self._norm_ints()
-        m, DD = 2 * n0, D * D
-        return ((c + x) * t0.denominator == t0.numerator * E
-                and m * n1 * t1.denominator == t1.numerator * DD
-                and m * n2 * t2.denominator == t2.numerator * DD
-                and m * n3 * t3.denominator == t3.numerator * DD)
-
     def __str__(self) -> str:
         return f"{self.q0} + {self.q1}*i + {self.q2}*j + {self.q3}*k"
 
@@ -249,8 +240,8 @@ def _checked_root(algebra: QuaternionAlgebra, x0: int, y0: int, pure: Sequence[i
     if not ((x0 * x0 * F + P * yy) * D == n0 * yy * F
             and m * x1 == n1 * w and m * x2 == n2 * w and m * x3 == n3 * w):
         raise RuntimeError(f"{what} failed re-squaring")
-    return Quaternion._unchecked(algebra, Fraction(x0, y0), Fraction(x1, y), Fraction(x2, y),
-                                 Fraction(x3, y))
+    return Quaternion._unchecked(algebra, Fraction(x0, y0) if x0 else _ZERO, Fraction(x1, y),
+                                 Fraction(x2, y), Fraction(x3, y))
 
 
 def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
@@ -285,13 +276,6 @@ def _sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
     return None
 
 
-def _resquared(root: Quaternion, a: Fraction, branch: str) -> Quaternion:
-    """root, once its one squaring is checked to be the scalar a, coordinate by coordinate."""
-    if not root._squares_to(a, _ZERO, _ZERO, _ZERO):
-        raise RuntimeError(f"{branch} root failed re-squaring")
-    return root
-
-
 def sqrt_central_split(algebra: QuaternionAlgebra, a: RationalLike) -> Quaternion:
     """A root of the central element a in a split algebra; never fails.
 
@@ -308,12 +292,11 @@ def sqrt_central_split(algebra: QuaternionAlgebra, a: RationalLike) -> Quaternio
         raise ValueError("a must be nonzero")
     if not algebra.is_split():
         raise ValueError("the algebra does not split")
-    return _sqrt_split(algebra, a)
+    return _sqrt_split(algebra, *a.as_integer_ratio())
 
 
-def _sqrt_split(algebra: QuaternionAlgebra, a: Fraction) -> Quaternion:
+def _sqrt_split(algebra: QuaternionAlgebra, A: int, D: int) -> Quaternion:
     F, E, N, i = algebra._pure_ints
-    A, D = a.as_integer_ratio()
     P, Q = -A * F - E[i] * D, 2 * D * E[i] * N[i]
     w = [P * n + Q if k == i else P * n for k, n in enumerate(N)]
     return _checked_root(algebra, 0, 1, w, Q, D, (A, 0, 0, 0), "split central root")
@@ -324,12 +307,14 @@ def sqrt_central_nonsplit(
 ) -> Optional[Quaternion]:
     """A root of the central element a in a non-split algebra, or None.
 
-    Scalar, i- and j-aligned shortcut roots are tried first. Otherwise a
-    root exists iff Q(sqrt a) embeds, i.e. a is a local square at no place
-    where the algebra ramifies, which factors nothing of a. Then the binary
-    forms <a, -alpha> and <beta, -alpha*beta>, anisotropic since neither
-    a*alpha nor alpha is a square, have a common value d for the search.
-    Its certificates a*m0^2 - alpha*v^2 = d = beta*l0^2 - alpha*beta*l1^2
+    A rational square a has its scalar root. Otherwise a root exists iff
+    Q(sqrt a) embeds, i.e. a is a local square at no ramified place; this is
+    tested first, on num(a)*den(a), and factors nothing of a. Roots along i
+    or j (a*alpha or a*beta a square) pass it: alpha and beta are non-squares
+    wherever (alpha, beta)_v = -1. Otherwise the binary forms <a, -alpha> and
+    <beta, -alpha*beta>, anisotropic since neither a*alpha nor alpha is a
+    square, have a common value d for the search. Its certificates
+    a*m0^2 - alpha*v^2 = d = beta*l0^2 - alpha*beta*l1^2
     give the pure root r = (v*i + l0*j + l1*k)/m0, since
     r^2 = (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
     """
@@ -339,44 +324,47 @@ def sqrt_central_nonsplit(
         raise ValueError("a must be nonzero")
     if algebra.is_split():
         raise ValueError("the algebra splits; use sqrt_central_split")
-    if (c := is_square(a)) is not None:
-        root = Quaternion._unchecked(algebra, c, _ZERO, _ZERO, _ZERO)
-        return _resquared(root, a, "non-split central")
-    return _sqrt_nonsplit(algebra, a)
+    n, d = a.as_integer_ratio()
+    if (r := _sqrt_ratio(n, d)) is not None:
+        return _checked_root(algebra, r, d, (0, 0, 0), 1, d, (n, 0, 0, 0), "non-split central root")
+    return _sqrt_nonsplit(algebra, n, d)
 
 
-def _sqrt_nonsplit(algebra: QuaternionAlgebra, a: Fraction) -> Optional[Quaternion]:
-    """sqrt_central_nonsplit for an a that is not a rational square."""
+def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quaternion]:
+    """sqrt_central_nonsplit for a = n/d, in lowest terms, not a rational square."""
+    for v in algebra._ramified:
+        if _local_square(n * d, v):
+            return None
     an, ad, bn, bd = algebra._ints
-    n, d = a.numerator, a.denominator
     # a*alpha = n*an/(d*ad) is the square of r/(d*ad), so r/(d*an) squares to a/alpha.
     if (r := _sqrt_ratio(n * an, d * ad)) is not None:
-        root = Quaternion._unchecked(algebra, _ZERO, Fraction(r, d * an), _ZERO, _ZERO)
+        pure, y = (r, 0, 0), d * an
     elif (r := _sqrt_ratio(n * bn, d * bd)) is not None:
-        root = Quaternion._unchecked(algebra, _ZERO, _ZERO, Fraction(r, d * bn), _ZERO)
-    elif any(is_local_square(a, v) for v in algebra._ramified):
-        return None
+        pure, y = (0, r, 0), d * bn
     else:
-        (A, B), (nA, nAB), Ca = algebra._classes, algebra._entries, _Classed(a)
+        (A, B), (nA, nAB), Ca = algebra._classes, algebra._entries, _Classed(Fraction(n, d))
         # The certificate conics' coefficients -b1/b0: alpha/a and alpha.
         _, (m0, v), (l0, l1) = _search_common_value((Ca, nA), (B, nAB), (A / Ca, A))
         # m0 = 0 would make (v, l0, l1) a zero of the anisotropic pure norm form.
-        root = Quaternion._unchecked(algebra, _ZERO, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)
-    return _resquared(root, a, "non-split central")
+        # (+-v*i + l0*j + l1*k)/m0, v's sign a's, over y = num(m0) * the lcm L of their dens.
+        xs = [(v if n > 0 else -v).as_integer_ratio(), l0.as_integer_ratio(), l1.as_integer_ratio()]
+        (mn, md), L = m0.as_integer_ratio(), math.lcm(*[e for _, e in xs])
+        pure, y = [x * md * (L // e) for x, e in xs], mn * L
+    return _checked_root(algebra, 0, 1, pure, y, d, (n, 0, 0, 0), "non-split central root")
 
 
 def sqrt(q: Quaternion) -> Optional[Quaternion]:
     """An exact square root of q, or None when q has none.
 
-    Dispatch: non-central values to the non-central routine; central values
-    a to the scalar root when a is a square in Q (0 included), otherwise to
-    the split or non-split central kernel, each fact decided once. Every
-    root is re-squared once before it is returned.
+    Dispatch: non-central values to the non-central routine; a central a = n/d,
+    read once, to the scalar root when a is a square in Q (0 included), else
+    to the split or non-split central kernel on (n, d), each fact decided
+    once. Every root is re-squared once, by `_checked_root`.
     """
     _expect(q, Quaternion)
     if not q.is_central:
         return _sqrt_noncentral(q)
-    algebra, a = q.algebra, q.q0
-    if (c := is_square(a)) is not None:
-        return _resquared(Quaternion._unchecked(algebra, c, _ZERO, _ZERO, _ZERO), a, "scalar")
-    return (_sqrt_split if algebra.is_split() else _sqrt_nonsplit)(algebra, a)
+    algebra, (n, d) = q.algebra, q.q0.as_integer_ratio()
+    if (r := _sqrt_ratio(n, d)) is not None:
+        return _checked_root(algebra, r, d, (0, 0, 0), 1, d, (n, 0, 0, 0), "scalar root")
+    return (_sqrt_split if algebra.is_split() else _sqrt_nonsplit)(algebra, n, d)

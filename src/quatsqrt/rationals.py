@@ -11,6 +11,7 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional, Sequence, Union
@@ -204,8 +205,8 @@ def _factor_int(n: int) -> dict[int, int]:
     The primes to 43 are divided out, as `is_prime` would find them first.
     One gcd with the product of the primes from 47 to 10^4 finds those that
     divide the cofactor; only the blocks holding them are divided through.
-    A cofactor below 10^8 is then prime, and a larger one is proven prime or
-    split by `_pollard_rho`.
+    A cofactor below 10^8 is then prime, as is every part below 10^8 that
+    `_pollard_rho` splits off; a larger one is proven prime or split again.
     """
     out: dict[int, int] = {}
     for p in _MR_BASES:
@@ -227,7 +228,7 @@ def _factor_int(n: int) -> dict[int, int]:
     stack = [n]
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m < _SIEVED**2 or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
@@ -252,7 +253,7 @@ class _Value:
     @classmethod
     def _unchecked(cls, *values: object) -> "_Value":
         value = object.__new__(cls)
-        value._set(*values)
+        value.__dict__.update(zip(cls._fields, values))
         return value
 
     def __eq__(self, other: object) -> bool:
@@ -286,6 +287,7 @@ class Factorization(_Value):
     factors: tuple[tuple[int, int], ...]
 
     def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]) -> None:
+        _expect(factors, Iterable)
         if sign not in (-1, 1):
             raise ValueError(f"sign must be +-1, got {sign}")
         prev = 1

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .forms import DiagonalForm, _isotropic, _solve_conic
 from .hilbert import _symbol_squarefree
@@ -49,6 +50,7 @@ _PRIME_APPEND_CAP = 64
 def singular_basis(primes: Iterable[int]) -> tuple[int, ...]:
     """(-1, p_1, ..., p_s) ascending: representatives of a GF(2) basis of the
     square classes with even valuation at every prime outside the given ones."""
+    _expect(primes, Iterable)
     ps = sorted(primes)
     if any(p == q for p, q in zip(ps, ps[1:])):
         raise ValueError("primes must be distinct")
@@ -67,6 +69,8 @@ class GF2System(_Value):
     ncols: int
 
     def __init__(self, rows: tuple[int, ...], rhs: tuple[int, ...], ncols: int) -> None:
+        _expect(rows, Sequence)
+        _expect(rhs, Sequence)
         if len(rows) != len(rhs):
             raise ValueError("rows and rhs lengths differ")
         if ncols < 0:

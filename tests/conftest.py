@@ -4,8 +4,8 @@ The acceptance tests record one line per criterion here; the hook below
 replays them after the run so they stay visible despite output capture.
 The factor_calls fixture records every argument handed to `factor`, and
 square_calls every quaternion that is squared: the receivers of
-`Quaternion.square` and of the integer re-squaring check `_squares_to`, and
-the roots that `quaternions._checked_root` checks on integer pairs.
+`Quaternion.square` and the roots that `quaternions._checked_root`, the one
+re-squaring check, checks on integer pairs.
 """
 
 import os
@@ -51,23 +51,21 @@ def factor_calls(monkeypatch):
 
 @pytest.fixture
 def square_calls(monkeypatch):
-    """The receivers of every `Quaternion.square` and `Quaternion._squares_to` call,
-    and the root of every `_checked_root` call."""
+    """The receiver of every `Quaternion.square` call and the root of every
+    `_checked_root` call."""
     calls = []
+    square = Quaternion.square
 
-    def counting(method):
-        def wrapper(q, *args):
-            calls.append(q)
-            return method(q, *args)
-        return wrapper
+    def counting(q):
+        calls.append(q)
+        return square(q)
 
     def checked(*args):
         root = checked_root(*args)
         calls.append(root)
         return root
 
-    for name in ("square", "_squares_to"):
-        monkeypatch.setattr(Quaternion, name, counting(getattr(Quaternion, name)))
+    monkeypatch.setattr(Quaternion, "square", counting)
     checked_root = quaternions._checked_root
     monkeypatch.setattr(quaternions, "_checked_root", checked)
     return calls

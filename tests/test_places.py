@@ -130,6 +130,27 @@ class TestIsLocalSquare:
                     continue
                 assert is_local_square(n, v) == local_square_oracle(Fraction(n), p), (n, p)
 
+    @pytest.mark.parametrize("p", SMALL_PRIMES + (None,))
+    def test_integer_kernel_against_residue_scan(self, p):
+        # q = p^k * w/s for valuations k in -6..6, every unit class w mod 16 (p = 2) or
+        # mod p, and unit denominators s; u = num(q)*den(q) is in q's square class.
+        # At the real place (p None) the oracle is the sign, over powers of 3.
+        v, base = (REAL, 3) if p is None else (Place.finite(p), p)
+        units = [w for w in range(-16, 17) if w % base]
+        for k in range(-6, 7):
+            for w in units:
+                for s in (1, base + 1, 4 * base + 1):
+                    q = Fraction(base) ** k * Fraction(w, s)
+                    u = q.numerator * q.denominator
+                    expected = q > 0 if p is None else local_square_oracle(q, p)
+                    assert places._local_square(u, v) == expected, (q, p)
+                    assert is_local_square(q, v) == expected, (q, p)
+
+    @given(nonzero_rationals, st.sampled_from(SMALL_PRIMES + (None,)))
+    def test_public_test_reads_the_integer_kernel(self, q, p):
+        v = REAL if p is None else Place.finite(p)
+        assert is_local_square(q, v) == places._local_square(q.numerator * q.denominator, v)
+
     @given(nonzero_rationals, st.sampled_from(SMALL_PRIMES))
     def test_squares_are_squares(self, q, p):
         assert is_local_square(q * q, Place.finite(p))

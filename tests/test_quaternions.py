@@ -20,8 +20,8 @@ from quatsqrt.forms import (
     isotropic_vector,
     represents,
 )
-from quatsqrt.hilbert import hilbert_symbol
-from quatsqrt.places import REAL, Place, is_local_square
+from quatsqrt.hilbert import hasse_invariant, hilbert_symbol
+from quatsqrt.places import REAL, Place, is_local_square, support_places
 from quatsqrt.quaternions import (
     Quaternion,
     QuaternionAlgebra,
@@ -30,11 +30,12 @@ from quatsqrt.quaternions import (
     sqrt_central_split,
     sqrt_noncentral,
 )
-from quatsqrt.rationals import _Classed, is_square
-from quatsqrt.sqclasses import _common_value, common_value, solve_gf2
+from quatsqrt.rationals import _Classed, Factorization, is_square
+from quatsqrt.sqclasses import GF2System, _common_value, common_value, singular_basis, solve_gf2
 
 import oracles
 from oracles import hilbert_oracle_finite, hilbert_oracle_real
+from test_acceptance import _random_algebra
 
 H = QuaternionAlgebra(Fraction(-1), Fraction(-1))  # Hamilton
 M = QuaternionAlgebra(Fraction(1), Fraction(1))  # split
@@ -59,6 +60,12 @@ nonsplit_algebras = algebra_params.map(lambda p: QuaternionAlgebra(*p)).filter(
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _acceptance_nonsplit():
+    """The non-split algebras among acceptance criterion 2's 24."""
+    rng = random.Random(202)
+    return [A for A in [_random_algebra(rng) for _ in range(24)] if not A.is_split()]
 
 
 class TestAlgebra:
@@ -235,6 +242,14 @@ class TestArithmetic:
             pytest.param(lambda: sqrt_central_nonsplit(2.0, 1), "float",
                          id="sqrt_central_nonsplit(2.0)"),
             pytest.param(lambda: solve_gf2(2.0), "float", id="solve_gf2(2.0)"),
+            pytest.param(lambda: hasse_invariant(2.0, Place(3)), "float",
+                         id="hasse_invariant(2.0)"),
+            pytest.param(lambda: DiagonalForm(2.0), "float", id="DiagonalForm(2.0)"),
+            pytest.param(lambda: singular_basis(2.0), "float", id="singular_basis(2.0)"),
+            pytest.param(lambda: GF2System(2.0, (), 0), "float", id="GF2System(2.0)"),
+            pytest.param(lambda: GF2System((), 2.0, 0), "float", id="GF2System((), 2.0)"),
+            pytest.param(lambda: support_places(2.0), "float", id="support_places(2.0)"),
+            pytest.param(lambda: Factorization(1, 2.0), "float", id="Factorization(1, 2.0)"),
         ],
     )
     def test_entry_points_name_the_wrong_type(self, call, type_name):
@@ -311,30 +326,47 @@ class TestIntegerKernel:
     )
     @settings(max_examples=200, deadline=None)
     def test_squares_to_agrees_with_square(self, r):
-        # The exact square, then every near miss: one target coordinate moved by +-1/den.
+        # r as the pairs (x0, y0) and (x_i, y), the pure part over one y, checked by
+        # `_checked_root` against the exact square, then every near miss: one target
+        # coordinate moved by +-1/den.
+        (x0, y0), (y, (_, *pure)) = r.q0.as_integer_ratio(), oracles.scaled((0, *r.coords[1:]))
         target = r.square().coords
-        assert r._squares_to(*target)
-        for k, t in enumerate(target):
-            for step in (1, -1):
-                moved = list(target)
-                moved[k] = t + Fraction(step, t.denominator)
-                assert r._squares_to(*moved) == (r.square() == r.algebra.quaternion(*moved))
+        targets = [target] + [
+            tuple(t + Fraction(step, t.denominator) if j == k else t for j, t in enumerate(target))
+            for k in range(4) for step in (1, -1)]
+        for moved in targets:
+            try:
+                root = quaternions_module._checked_root(r.algebra, x0, y0, pure, y,
+                                                        *oracles.scaled(moved), "test root")
+            except RuntimeError:
+                root = None
+            assert (root is not None) == (r.square() == r.algebra.quaternion(*moved))
+            assert root is None or root == r
 
     @given(kernel_params, kernel_params, kernel_coords())
     @settings(max_examples=100, deadline=None)
     def test_scaled_matches_the_lcm_formula(self, alpha, beta, coords):
         assert QuaternionAlgebra(alpha, beta).quaternion(*coords)._scaled() == oracles.scaled(coords)
 
-    @given(kernel_params, kernel_params, st.booleans(), st.tuples(*[kernel_numerators] * 4),
-           kernel_denominators, kernel_denominators, st.sampled_from((1, -1)))
-    @settings(max_examples=200, deadline=None)
-    def test_checked_root_agrees_with_square(self, alpha, beta, split, xs, y0, y, sign):
+    @given(kernel_params, kernel_params, st.sampled_from(("noncentral", "split", "scalar",
+                                                          "nonsplit")),
+           st.tuples(*[kernel_numerators] * 4), kernel_denominators, kernel_denominators,
+           st.sampled_from((1, -1)), st.sampled_from((None, 0, 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_checked_root_agrees_with_square(self, alpha, beta, shape, xs, y0, y, sign, axis):
         # Non-central pairs (x0, y0), (x_i, y), unreduced; split ones (0, 1), (w_k, Q) with
-        # Q of either sign. The exact square passes, and each +-1/den near miss of one
-        # target coordinate passes exactly when the root squares to it.
+        # Q of either sign; scalar ones (x0, y0) with x0 != 0 and the pure part (0, 0, 0)
+        # over 1; non-split ones (0, 1) with the pure part along i or j (axis) or general,
+        # over y of either sign. The exact square passes, and each +-1/den near miss of
+        # one target coordinate passes exactly when the root squares to it.
         A = QuaternionAlgebra(alpha, beta)
         x0, *pure = xs
-        x0, y0, y = (0, 1, sign * y) if split else (x0, y0, y)
+        if shape in ("split", "nonsplit"):
+            x0, y0, y = 0, 1, sign * y
+        if shape == "scalar":
+            x0, pure, y = x0 or 1, [0, 0, 0], 1
+        if shape == "nonsplit" and axis is not None:
+            pure = [x if k == axis else 0 for k, x in enumerate(pure)]
         r = Quaternion._unchecked(A, Fraction(x0, y0), *[Fraction(x, y) for x in pure])
         target = r.square().coords
         targets = [target] + [
@@ -564,6 +596,23 @@ class TestSqrtCentralNonsplit:
         if c(a) is None:
             assert sqrt(A.scalar(a)).coords == expected
 
+    @given(st.sampled_from(_acceptance_nonsplit()), kernel_params, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_aligned_roots_pass_the_ramified_places(self, A, t, along_i):
+        # a = alpha*t^2 or beta*t^2 is a local square at no ramified place, where alpha
+        # and beta are non-squares, so the test that runs first lets the root along i
+        # or j through. a is no rational square; a*alpha is one for a = beta*t^2 when
+        # alpha*beta is, and then the root is along i.
+        a = (A.alpha if along_i else A.beta) * t * t
+        c = oracles.rational_sqrt
+        assert c(a) is None
+        if c(a * A.alpha) is not None:
+            expected = (0, c(a * A.alpha) / A.alpha, 0, 0)
+        else:
+            expected = (0, 0, c(a * A.beta) / A.beta, 0)
+        assert sqrt(A.scalar(a)).coords == expected
+        assert sqrt_central_nonsplit(A, a).coords == expected
+
     @pytest.mark.parametrize("A, a", [(H, 4), (H, -4), (B25, 5)], ids=["scalar", "i", "j"])
     def test_shortcut_root_is_resquared_once(self, A, a, square_calls):
         r = sqrt_central_nonsplit(A, Fraction(a))
@@ -790,10 +839,11 @@ class TestSqrtDispatcher:
         # (1 + u)^2 = 2u for a pure unit u of H: its scalar part matches a = 0.
         r = H.quaternion(*coords)
         assert r.square().q0 == 0
+        checked_root = quaternions_module._checked_root
         with pytest.raises(RuntimeError, match="scalar root failed re-squaring"):
-            quaternions_module._resquared(r, Fraction(0), "scalar")
+            checked_root(H, 1, 1, coords[1:], 1, 1, (0, 0, 0, 0), "scalar root")
         with pytest.raises(RuntimeError, match="scalar root failed re-squaring"):
-            quaternions_module._resquared(H.scalar(2), Fraction(5), "scalar")
+            checked_root(H, 2, 1, (0, 0, 0), 1, 1, (5, 0, 0, 0), "scalar root")
 
     def test_spec_cli_cases(self):
         assert sqrt(H.quaternion(0, 2, 0, 0)) == H.quaternion(1, 1, 0, 0)
