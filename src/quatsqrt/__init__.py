@@ -11,7 +11,6 @@ from .rationals import (
     Rational,
     as_fraction,
     factor,
-    format_rational,
     is_prime,
     is_square,
     parse_rational,
@@ -26,12 +25,11 @@ from .places import (
     support_places,
     valuation,
 )
-from .hilbert import hasse_invariant, hilbert_symbol, reciprocity_check
+from .hilbert import hasse_invariant, hilbert_symbol
 from .forms import (
     DiagonalForm,
     is_isotropic,
     is_isotropic_local,
-    isotropic_to_universal,
     isotropic_vector,
     represents,
     solve_conic,
@@ -42,14 +40,7 @@ from .sqclasses import (
     singular_basis,
     solve_gf2,
 )
-from .quaternions import (
-    Quaternion,
-    QuaternionAlgebra,
-    sqrt,
-    sqrt_central_nonsplit,
-    sqrt_central_split,
-    sqrt_noncentral,
-)
+from .quaternions import Quaternion, QuaternionAlgebra, sqrt
 
 __version__ = "0.1.0"
 
@@ -58,7 +49,6 @@ __all__ = [
     "Rational",
     "as_fraction",
     "factor",
-    "format_rational",
     "is_prime",
     "is_square",
     "parse_rational",
@@ -72,11 +62,9 @@ __all__ = [
     "valuation",
     "hasse_invariant",
     "hilbert_symbol",
-    "reciprocity_check",
     "DiagonalForm",
     "is_isotropic",
     "is_isotropic_local",
-    "isotropic_to_universal",
     "isotropic_vector",
     "represents",
     "solve_conic",
@@ -87,8 +75,5 @@ __all__ = [
     "Quaternion",
     "QuaternionAlgebra",
     "sqrt",
-    "sqrt_central_nonsplit",
-    "sqrt_central_split",
-    "sqrt_noncentral",
     "__version__",
 ]

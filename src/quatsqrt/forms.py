@@ -27,13 +27,6 @@ from .rationals import (RationalLike, _Classed, _expect, _sqrt_ratio, _times, _V
 Vector = tuple[Fraction, ...]
 
 
-def _vector(seq: Sequence[RationalLike], dim: int) -> Vector:
-    vec = tuple(as_fraction(x) for x in seq)
-    if len(vec) != dim:
-        raise ValueError(f"expected a vector of length {dim}, got {len(vec)}")
-    return vec
-
-
 class DiagonalForm(_Value):
     """<a_1, ..., a_n>: the form a_1*x_1^2 + ... + a_n*x_n^2, entries nonzero."""
 
@@ -57,14 +50,10 @@ class DiagonalForm(_Value):
         return iter(self.entries)
 
     def __call__(self, vec: Sequence[RationalLike]) -> Fraction:
-        vec = _vector(vec, self.dim)
+        vec = tuple(as_fraction(x) for x in vec)
+        if len(vec) != self.dim:
+            raise ValueError(f"expected a vector of length {self.dim}, got {len(vec)}")
         return sum((a * x * x for a, x in zip(self.entries, vec)), Fraction(0))
-
-    def polar(self, u: Sequence[RationalLike], v: Sequence[RationalLike]) -> Fraction:
-        """The associated bilinear form, normalized so polar(v, v) = 2*form(v)."""
-        u = _vector(u, self.dim)
-        v = _vector(v, self.dim)
-        return 2 * sum((a * x * y for a, x, y in zip(self.entries, u, v)), Fraction(0))
 
     def determinant(self) -> Fraction:
         out = Fraction(1)
@@ -177,33 +166,6 @@ def isotropic_vector(form: DiagonalForm) -> Optional[Vector]:
     # (x, y, 1) is a zero: it is solve_conic's checked x^2 + (b/a)*y^2 = -c/a times a.
     sol = solve_conic(-b / a, -c / a)
     return None if sol is None else (*sol, Fraction(1))
-
-
-def isotropic_to_universal(
-    form: DiagonalForm, vec: Sequence[RationalLike], target: RationalLike
-) -> Vector:
-    """A vector W with form(W) = target, built from an isotropic vector.
-
-    An isotropic form represents everything: take the first standard basis
-    vector U = e_i that pairs nontrivially with the isotropic vector V and
-    return W = U + ((target - form(U)) / polar(U, V)) * V.
-    """
-    _expect(form, DiagonalForm)
-    vec = _vector(vec, form.dim)
-    target = as_fraction(target)
-    if target == 0:
-        raise ValueError("target value must be nonzero")
-    if all(x == 0 for x in vec):
-        raise ValueError("the isotropic vector must be nonzero")
-    if form(vec) != 0:
-        raise ValueError("vector is not isotropic for the form")
-    entries = form.entries
-    i = next(k for k, x in enumerate(vec) if x != 0)
-    scale = (target - entries[i]) / (2 * entries[i] * vec[i])
-    out = tuple((Fraction(1) if k == i else Fraction(0)) + scale * x for k, x in enumerate(vec))
-    if form(out) != target:
-        raise RuntimeError("universal representation failed to hit the target")
-    return out
 
 
 def represents(form: DiagonalForm, d: RationalLike) -> Optional[tuple[Fraction, Fraction]]:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .legendre import _legendre
 from .places import Place, _local_classes, _places_over
-from .rationals import RationalLike, _Class, _square_class
+from .rationals import RationalLike, _Class
 
 
 def _eps(u: int) -> int:
@@ -72,15 +72,3 @@ def hilbert_symbol(a: RationalLike, b: RationalLike, v: Place) -> int:
 def hasse_invariant(form: Iterable[RationalLike], v: Place) -> int:
     """prod_{i<j} (a_i, a_j)_v over the diagonal entries; +1 in dimension <= 1."""
     return _hasse(_local_classes(form, v), v)
-
-
-def reciprocity_check(a: RationalLike, b: RationalLike) -> bool:
-    """Product formula: (a,b)_v over the real place, 2 and every prime of odd
-    valuation in a or b is +1.
-
-    Outside that set both square classes are p-adic units, so the symbol is +1
-    and the finite product equals the product over all places. Always true;
-    exposed as a check so it can be exercised at scale.
-    """
-    (sa, pa), (sb, pb) = _square_class(a), _square_class(b)
-    return math.prod(_symbol_squarefree(sa, sb, v) for v in _places_over(pa + pb)) == 1

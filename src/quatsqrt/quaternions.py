@@ -3,7 +3,7 @@
 The algebra has basis 1, i, j, k with i^2 = alpha, j^2 = beta and
 k = ij = -ji. Square roots split into cases: non-central elements reduce to
 square tests on the norm, central elements to isotropy and norm equations of
-the attached quadratic forms. Each routine re-squares the root it builds,
+the attached quadratic forms. Each branch re-squares the root it builds,
 once, on integers: every coordinate of the square is cross-multiplied with
 the target's, and `sqrt` returns that root as it is. `_checked_root` checks
 every root on the integer pairs its Fractions are then built from.
@@ -244,22 +244,15 @@ def _checked_root(algebra: QuaternionAlgebra, x0: int, y0: int, pure: Sequence[i
                                  Fraction(x2, y), Fraction(x3, y))
 
 
-def sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
-    """A square root of a non-central quaternion, or None.
+def _sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
+    """A root of a non-central q, or None.
 
     r^2 = q forces N(r)^2 = N(q) and 2*r0^2 - N(r) = q0, so r0^2 is one of
-    (q0 +- d)/2 with d^2 = N(q); the pure part of r is then q_pure / (2*r0).
-    The (q0 + d)/2 candidate is tried first. Square tests read unreduced
-    integer pairs, so none takes a gcd. The root's pairs (t, 2E) and
-    (n_i*K, t) are checked against q's own (D, n), then become Fractions.
+    (q0 +- d)/2 with d^2 = N(q), the + candidate first, and the pure part of r
+    is q_pure / (2*r0). Square tests read unreduced integer pairs, so none
+    takes a gcd; the root's pairs (t, 2E) and (n_i*K, t) are checked against
+    q's own (D, n).
     """
-    _expect(q, Quaternion)
-    if q.is_central:
-        raise ValueError("argument must not be central")
-    return _sqrt_noncentral(q)
-
-
-def _sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
     # Over E, N(q) = (c - x)/E, sqrt(N(q)) = s/E, and q0 = n0*K/E with K = E/D.
     E, c, x, D, n = q._norm_ints()
     s = _sqrt_ratio(c - x, E)
@@ -276,62 +269,36 @@ def _sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
     return None
 
 
-def sqrt_central_split(algebra: QuaternionAlgebra, a: RationalLike) -> Quaternion:
-    """A root of the central element a in a split algebra; never fails.
-
-    The pure norm form of a split algebra is isotropic, hence universal, so a
-    pure quaternion of norm -a (which squares to a) always exists. With the
-    form's entries E/F, the cached isotropic vector N/M and a = A/D, it is
-    `isotropic_to_universal`'s W on ints: W_k = w_k/Q with w_k = delta_ik*Q + P*N_k,
-    P = -A*F - E_i*D and Q = 2*D*E_i*N_i, checked on the pairs (w_k, Q) with
-    the algebra's own alpha and beta, not the cached E and F.
-    """
-    _expect(algebra, QuaternionAlgebra)
-    a = as_fraction(a)
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    if not algebra.is_split():
-        raise ValueError("the algebra does not split")
-    return _sqrt_split(algebra, *a.as_integer_ratio())
-
-
 def _sqrt_split(algebra: QuaternionAlgebra, A: int, D: int) -> Quaternion:
+    """The pure root of a = A/D != 0 in a split algebra; never fails.
+
+    The pure norm form of a split algebra is isotropic, hence universal: with
+    its cached isotropic vector V, i the first index with V_i != 0 and c the
+    form's i-th entry, W = e_i + ((-a - c)/(2*c*V_i))*V has norm -a, so W
+    squares to a. On ints, with the entries E/F and V = N/M, W_k = w_k/Q with
+    w_k = delta_ik*Q + P*N_k, P = -A*F - E_i*D and Q = 2*D*E_i*N_i, checked
+    with the algebra's own alpha and beta, not the cached E and F.
+    """
     F, E, N, i = algebra._pure_ints
     P, Q = -A * F - E[i] * D, 2 * D * E[i] * N[i]
     w = [P * n + Q if k == i else P * n for k, n in enumerate(N)]
     return _checked_root(algebra, 0, 1, w, Q, D, (A, 0, 0, 0), "split central root")
 
 
-def sqrt_central_nonsplit(
-    algebra: QuaternionAlgebra, a: RationalLike
-) -> Optional[Quaternion]:
-    """A root of the central element a in a non-split algebra, or None.
+def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quaternion]:
+    """The root of a = n/d, in lowest terms and not a rational square, in a
+    non-split algebra, or None.
 
-    A rational square a has its scalar root. Otherwise a root exists iff
-    Q(sqrt a) embeds, i.e. a is a local square at no ramified place; this is
-    tested first, on num(a)*den(a), and factors nothing of a. Roots along i
-    or j (a*alpha or a*beta a square) pass it: alpha and beta are non-squares
-    wherever (alpha, beta)_v = -1. Otherwise the binary forms <a, -alpha> and
+    A root exists iff Q(sqrt a) embeds, i.e. a is a local square at no ramified
+    place; this is tested first, on n*d, and factors nothing of a. Roots along
+    i or j (a*alpha or a*beta a square) pass it: alpha and beta are non-squares
+    wherever (alpha, beta)_v = -1. Otherwise <a, -alpha> and
     <beta, -alpha*beta>, anisotropic since neither a*alpha nor alpha is a
     square, have a common value d for the search. Its certificates
-    a*m0^2 - alpha*v^2 = d = beta*l0^2 - alpha*beta*l1^2
-    give the pure root r = (v*i + l0*j + l1*k)/m0, since
-    r^2 = (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
+    a*m0^2 - alpha*v^2 = d = beta*l0^2 - alpha*beta*l1^2 give the pure root
+    (v*i + l0*j + l1*k)/m0, which squares to
+    (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
     """
-    _expect(algebra, QuaternionAlgebra)
-    a = as_fraction(a)
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    if algebra.is_split():
-        raise ValueError("the algebra splits; use sqrt_central_split")
-    n, d = a.as_integer_ratio()
-    if (r := _sqrt_ratio(n, d)) is not None:
-        return _checked_root(algebra, r, d, (0, 0, 0), 1, d, (n, 0, 0, 0), "non-split central root")
-    return _sqrt_nonsplit(algebra, n, d)
-
-
-def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quaternion]:
-    """sqrt_central_nonsplit for a = n/d, in lowest terms, not a rational square."""
     for v in algebra._ramified:
         if _local_square(n * d, v):
             return None
@@ -356,7 +323,7 @@ def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quate
 def sqrt(q: Quaternion) -> Optional[Quaternion]:
     """An exact square root of q, or None when q has none.
 
-    Dispatch: non-central values to the non-central routine; a central a = n/d,
+    Dispatch: non-central values to `_sqrt_noncentral`; a central a = n/d,
     read once, to the scalar root when a is a square in Q (0 included), else
     to the split or non-split central kernel on (n, d), each fact decided
     once. Every root is re-squared once, by `_checked_root`.

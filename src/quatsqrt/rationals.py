@@ -71,11 +71,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(q: RationalLike) -> str:
-    """Inverse of parse_rational; integers print without the "/1"."""
-    return str(as_fraction(q))
-
-
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic for n < 3.317e24; BPSW from there on."""
     if not isinstance(n, int):
@@ -288,10 +283,13 @@ class Factorization(_Value):
 
     def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]) -> None:
         _expect(factors, Iterable)
+        _expect(sign, int)
         if sign not in (-1, 1):
             raise ValueError(f"sign must be +-1, got {sign}")
+        factors = tuple((p, e) for p, e in factors)
         prev = 1
         for p, e in factors:
+            _expect(e, int)
             if p <= prev:
                 raise ValueError("primes must be strictly increasing")
             if e == 0:

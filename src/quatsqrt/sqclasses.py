@@ -71,15 +71,20 @@ class GF2System(_Value):
     def __init__(self, rows: tuple[int, ...], rhs: tuple[int, ...], ncols: int) -> None:
         _expect(rows, Sequence)
         _expect(rhs, Sequence)
+        _expect(ncols, int)
+        rows, rhs = tuple(rows), tuple(rhs)
         if len(rows) != len(rhs):
             raise ValueError("rows and rhs lengths differ")
         if ncols < 0:
             raise ValueError("negative column count")
         for mask in rows:
+            _expect(mask, int)
             if mask < 0 or mask >> ncols:
                 raise ValueError("row mask outside the column range")
-        if any(b not in (0, 1) for b in rhs):
-            raise ValueError("rhs entries must be bits")
+        for b in rhs:
+            _expect(b, int)
+            if b not in (0, 1):
+                raise ValueError("rhs entries must be bits")
         self._set(rows, rhs, ncols)
 
 

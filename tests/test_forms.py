@@ -15,7 +15,6 @@ from quatsqrt.forms import (
     DiagonalForm,
     is_isotropic,
     is_isotropic_local,
-    isotropic_to_universal,
     isotropic_vector,
     represents,
     solve_conic,
@@ -48,23 +47,14 @@ class TestDiagonalForm:
         with pytest.raises(ValueError):
             DiagonalForm((1, 0, 2))
 
-    def test_eval_and_polar(self):
+    def test_eval(self):
         f = DiagonalForm((1, -2, Fraction(3, 5)))
         assert f((1, 1, 5)) == 1 - 2 + 15
-        assert f.polar((1, 0, 0), (0, 1, 0)) == 0
-        v = (Fraction(2), Fraction(-1), Fraction(1, 3))
-        assert f.polar(v, v) == 2 * f(v)
+        assert f((Fraction(2), Fraction(-1), Fraction(1, 3))) == 4 - 2 + Fraction(1, 15)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             DiagonalForm((1, 1))((1, 2, 3))
-
-    @given(ternary_forms(), st.tuples(*[st.fractions(max_denominator=8)] * 3),
-           st.tuples(*[st.fractions(max_denominator=8)] * 3))
-    @settings(max_examples=50)
-    def test_polar_is_bilinear(self, f, u, v):
-        left = f.polar(u, [x + y for x, y in zip(u, v)])
-        assert left == f.polar(u, u) + f.polar(u, v)
 
 
 class TestLocalIsotropy:
@@ -528,30 +518,6 @@ class TestIsotropicVector:
         else:
             assert is_isotropic(form)
             assert form(v) == 0 and any(x != 0 for x in v)
-
-
-class TestIsotropicToUniversal:
-    def test_worked_example(self):
-        w = isotropic_to_universal(DiagonalForm((1, -1)), (1, 1), 5)
-        assert w == (3, 2)
-
-    def test_errors(self):
-        f = DiagonalForm((1, -1))
-        with pytest.raises(ValueError):
-            isotropic_to_universal(f, (0, 0), 5)
-        with pytest.raises(ValueError):
-            isotropic_to_universal(f, (1, 2), 5)  # not isotropic
-        with pytest.raises(ValueError):
-            isotropic_to_universal(f, (1, 1), 0)
-
-    @given(ternary_forms(), nonzero_rationals)
-    @settings(max_examples=100, deadline=None)
-    def test_hits_target(self, form, target):
-        v = isotropic_vector(form)
-        if v is None:
-            return
-        w = isotropic_to_universal(form, v, target)
-        assert form(w) == target
 
 
 class TestRepresents:

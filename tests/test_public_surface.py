@@ -18,7 +18,6 @@ PUBLIC = [
     "Rational",
     "as_fraction",
     "factor",
-    "format_rational",
     "is_prime",
     "is_square",
     "parse_rational",
@@ -32,11 +31,9 @@ PUBLIC = [
     "valuation",
     "hasse_invariant",
     "hilbert_symbol",
-    "reciprocity_check",
     "DiagonalForm",
     "is_isotropic",
     "is_isotropic_local",
-    "isotropic_to_universal",
     "isotropic_vector",
     "represents",
     "solve_conic",
@@ -47,9 +44,6 @@ PUBLIC = [
     "Quaternion",
     "QuaternionAlgebra",
     "sqrt",
-    "sqrt_central_nonsplit",
-    "sqrt_central_split",
-    "sqrt_noncentral",
     "__version__",
 ]
 

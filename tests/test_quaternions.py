@@ -1,4 +1,4 @@
-"""Quaternion arithmetic identities and the four square-root routines."""
+"""Quaternion arithmetic identities and the branches of `sqrt`."""
 
 import random
 import re
@@ -16,20 +16,12 @@ from quatsqrt.forms import (
     DiagonalForm,
     is_isotropic,
     is_isotropic_local,
-    isotropic_to_universal,
     isotropic_vector,
     represents,
 )
 from quatsqrt.hilbert import hasse_invariant, hilbert_symbol
 from quatsqrt.places import REAL, Place, is_local_square, support_places
-from quatsqrt.quaternions import (
-    Quaternion,
-    QuaternionAlgebra,
-    sqrt,
-    sqrt_central_nonsplit,
-    sqrt_central_split,
-    sqrt_noncentral,
-)
+from quatsqrt.quaternions import Quaternion, QuaternionAlgebra, sqrt
 from quatsqrt.rationals import _Classed, Factorization, is_square
 from quatsqrt.sqclasses import GF2System, _common_value, common_value, singular_basis, solve_gf2
 
@@ -225,7 +217,6 @@ class TestArithmetic:
         "call, type_name",
         [
             pytest.param(lambda: sqrt(2.0), "float", id="sqrt(2.0)"),
-            pytest.param(lambda: sqrt_noncentral(1.0), "float", id="sqrt_noncentral(1.0)"),
             pytest.param(lambda: Quaternion(None, 1, 0, 0, 0), "NoneType", id="Quaternion(None)"),
             pytest.param(lambda: common_value(DiagonalForm((1, 2)), 2.0), "float",
                          id="common_value(form, 2.0)"),
@@ -234,13 +225,8 @@ class TestArithmetic:
             pytest.param(lambda: is_isotropic(2.0), "float", id="is_isotropic(2.0)"),
             pytest.param(lambda: isotropic_vector(2.0), "float", id="isotropic_vector(2.0)"),
             pytest.param(lambda: represents(2.0, 1), "float", id="represents(2.0, 1)"),
-            pytest.param(lambda: isotropic_to_universal(2.0, (1, 1, 1), 1), "float",
-                         id="isotropic_to_universal(2.0)"),
             pytest.param(lambda: is_isotropic_local(2.0, Place(3)), "float",
                          id="is_isotropic_local(2.0)"),
-            pytest.param(lambda: sqrt_central_split(2.0, 1), "float", id="sqrt_central_split(2.0)"),
-            pytest.param(lambda: sqrt_central_nonsplit(2.0, 1), "float",
-                         id="sqrt_central_nonsplit(2.0)"),
             pytest.param(lambda: solve_gf2(2.0), "float", id="solve_gf2(2.0)"),
             pytest.param(lambda: hasse_invariant(2.0, Place(3)), "float",
                          id="hasse_invariant(2.0)"),
@@ -248,8 +234,14 @@ class TestArithmetic:
             pytest.param(lambda: singular_basis(2.0), "float", id="singular_basis(2.0)"),
             pytest.param(lambda: GF2System(2.0, (), 0), "float", id="GF2System(2.0)"),
             pytest.param(lambda: GF2System((), 2.0, 0), "float", id="GF2System((), 2.0)"),
+            pytest.param(lambda: GF2System((), (), 1.5), "float", id="GF2System((), (), 1.5)"),
+            pytest.param(lambda: GF2System((1.0,), (0,), 1), "float", id="GF2System((1.0,), ...)"),
+            pytest.param(lambda: GF2System((1,), (1.0,), 1), "float", id="GF2System(..., (1.0,))"),
             pytest.param(lambda: support_places(2.0), "float", id="support_places(2.0)"),
             pytest.param(lambda: Factorization(1, 2.0), "float", id="Factorization(1, 2.0)"),
+            pytest.param(lambda: Factorization(1.0, ()), "float", id="Factorization(1.0, ())"),
+            pytest.param(lambda: Factorization(1, ((2, Fraction(1, 2)),)), "Fraction",
+                         id="Factorization(1, ((2, 1/2),))"),
         ],
     )
     def test_entry_points_name_the_wrong_type(self, call, type_name):
@@ -391,7 +383,7 @@ class TestIntegerKernel:
             if q.is_central:
                 continue
             expected = oracles.quaternion_sqrt_noncentral(alpha, beta, q.coords)
-            root = sqrt_noncentral(q)
+            root = sqrt(q)
             assert (root is None) == (expected is None)
             if root is not None:
                 assert root.coords == expected
@@ -400,12 +392,8 @@ class TestIntegerKernel:
 
 class TestSqrtNoncentral:
     def test_worked_example(self):
-        r = sqrt_noncentral(H.quaternion(0, 2, 0, 0))
+        r = sqrt(H.quaternion(0, 2, 0, 0))
         assert r == H.quaternion(1, 1, 0, 0)
-
-    def test_central_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt_noncentral(H.scalar(4))
 
     def test_scales_to_integers_once(self, monkeypatch):
         # q is scaled once; the root is checked on the integer pairs it is built from.
@@ -440,13 +428,13 @@ class TestSqrtNoncentral:
 
     def test_norm_obstruction(self):
         # N(1 + i) = 2 is not a rational square
-        assert sqrt_noncentral(H.quaternion(1, 1, 0, 0)) is None
+        assert sqrt(H.quaternion(1, 1, 0, 0)) is None
 
     def test_plus_branch_preferred(self):
         # q = 5 + 4i + j + k in (1,1): both (5 +- 3)/2 are squares, so both
         # r0 = 2 and r0 = 1 give roots; the implementation must pick r0 = 2.
         q = M.quaternion(5, 4, 1, 1)
-        r = sqrt_noncentral(q)
+        r = sqrt(q)
         assert r is not None and r.square() == q
         assert r.q0 == 2
         other = M.quaternion(1, 2, Fraction(1, 2), Fraction(1, 2))
@@ -458,7 +446,7 @@ class TestSqrtNoncentral:
         q = r.square()
         if q.is_central:
             return
-        s = sqrt_noncentral(q)
+        s = sqrt(q)
         assert s is not None
         assert s.square() == q
 
@@ -467,7 +455,7 @@ class TestSqrtNoncentral:
     def test_failure_is_sound(self, q):
         if q.is_central:
             return
-        if sqrt_noncentral(q) is not None:
+        if sqrt(q) is not None:
             return
         # no root exists: either N(q) is not a square, or neither half works
         d = is_square(q.norm())
@@ -479,7 +467,7 @@ class TestSqrtNoncentral:
 
 class TestSqrtCentralSplit:
     def test_worked_example(self):
-        r = sqrt_central_split(M, Fraction(2))
+        r = sqrt(M.scalar(2))
         assert r == M.quaternion(0, 0, Fraction(3, 2), Fraction(1, 2))
         assert r.square() == M.scalar(2)
 
@@ -493,7 +481,7 @@ class TestSqrtCentralSplit:
         values = [Fraction(2), Fraction(-3), Fraction(7, 5), Fraction(-1, 4), Fraction(30)]
         for A in split_algebras:
             for a in values:
-                r = sqrt_central_split(A, a)
+                r = sqrt(A.scalar(a))
                 assert r.square() == A.scalar(a)
                 assert r.is_pure
 
@@ -523,22 +511,19 @@ class TestSqrtCentralSplit:
         assert calls == []
         assert len(square_calls) == 2  # sqrt's own check, then the one above
 
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            sqrt_central_split(H, Fraction(2))
-        with pytest.raises(ValueError):
-            sqrt_central_split(M, 0)
-
     @given(split_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_fraction_reference(self, case):
         alpha, beta, a = case
         A = QuaternionAlgebra(alpha, beta)
-        r = sqrt_central_split(A, a)
-        assert r.coords == oracles.split_central_root(alpha, beta, A._pure_isotropic_vector, a)
+        r = sqrt(A.scalar(a))
+        c = is_square(a)
+        if c is None:
+            expected = oracles.split_central_root(alpha, beta, A._pure_isotropic_vector, a)
+        else:
+            expected = (c, 0, 0, 0)
+        assert r.coords == expected
         assert all(type(x) is Fraction for x in r.coords)
-        if is_square(a) is None:
-            assert sqrt(A.scalar(a)) == r
 
     @pytest.mark.parametrize(
         "field, k", [(0, None), (1, 0), (2, 0), (2, 2)], ids=["F", "E0", "N0", "N2"]
@@ -568,13 +553,13 @@ class TestSqrtCentralSplit:
 
 class TestSqrtCentralNonsplit:
     def test_shortcuts(self):
-        assert sqrt_central_nonsplit(H, Fraction(4)) == H.scalar(2)
+        assert sqrt(H.scalar(4)) == H.scalar(2)
         # a*alpha square: root along i
-        r = sqrt_central_nonsplit(H, Fraction(-4))
+        r = sqrt(H.scalar(-4))
         assert r == H.quaternion(0, -2, 0, 0)
         assert r.square() == H.scalar(-4)
         # a*beta square: root along j
-        r = sqrt_central_nonsplit(B25, Fraction(5))
+        r = sqrt(B25.scalar(5))
         assert r == B25.quaternion(0, 0, 1, 0)
         assert r.square() == B25.scalar(5)
 
@@ -592,9 +577,7 @@ class TestSqrtCentralNonsplit:
             expected = (0, c(a * alpha) / alpha, 0, 0)
         else:
             expected = (0, 0, c(a * beta) / beta, 0)
-        assert sqrt_central_nonsplit(A, a).coords == expected
-        if c(a) is None:
-            assert sqrt(A.scalar(a)).coords == expected
+        assert sqrt(A.scalar(a)).coords == expected
 
     @given(st.sampled_from(_acceptance_nonsplit()), kernel_params, st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -611,11 +594,10 @@ class TestSqrtCentralNonsplit:
         else:
             expected = (0, 0, c(a * A.beta) / A.beta, 0)
         assert sqrt(A.scalar(a)).coords == expected
-        assert sqrt_central_nonsplit(A, a).coords == expected
 
     @pytest.mark.parametrize("A, a", [(H, 4), (H, -4), (B25, 5)], ids=["scalar", "i", "j"])
     def test_shortcut_root_is_resquared_once(self, A, a, square_calls):
-        r = sqrt_central_nonsplit(A, Fraction(a))
+        r = sqrt(A.scalar(a))
         assert square_calls == [r]
 
     @given(
@@ -636,10 +618,10 @@ class TestSqrtCentralNonsplit:
         assert m0 != 0
 
     def test_general_path_is_pure(self):
-        r = sqrt_central_nonsplit(H, Fraction(-2))
+        r = sqrt(H.scalar(-2))
         assert r is not None and r.square() == H.scalar(-2)
         assert r.is_pure
-        r = sqrt_central_nonsplit(B25, Fraction(13))
+        r = sqrt(B25.scalar(13))
         assert r is not None and r.square() == B25.scalar(13)
         assert r.is_pure
 
@@ -673,7 +655,7 @@ class TestSqrtCentralNonsplit:
 
         monkeypatch.setattr(sqclasses_module, "_solve_conic", counting)
         A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
-        assert sqrt_central_nonsplit(A, Fraction(a)) is not None
+        assert sqrt(A.scalar(a)) is not None
         assert len(calls) == 2
 
     @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
@@ -688,7 +670,7 @@ class TestSqrtCentralNonsplit:
 
         monkeypatch.setattr(sqclasses_module, "_isotropic", counting)
         A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
-        assert sqrt_central_nonsplit(A, Fraction(a)) is not None
+        assert sqrt(A.scalar(a)) is not None
         assert calls == []
 
     @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
@@ -739,19 +721,13 @@ class TestSqrtCentralNonsplit:
         assert factor_calls == [alpha, beta, 2]
 
     def test_unsolvable(self):
-        assert sqrt_central_nonsplit(H, Fraction(7)) is None
-        assert sqrt_central_nonsplit(H, Fraction(3)) is None
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            sqrt_central_nonsplit(M, Fraction(2))
-        with pytest.raises(ValueError):
-            sqrt_central_nonsplit(H, 0)
+        assert sqrt(H.scalar(7)) is None
+        assert sqrt(H.scalar(3)) is None
 
     @given(st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(lambda q: q != 0))
     @settings(max_examples=80, deadline=None)
     def test_soundness_both_ways(self, a):
-        r = sqrt_central_nonsplit(H, a)
+        r = sqrt(H.scalar(a))
         alpha, beta = H.alpha, H.beta
         if r is None:
             assert is_square(a) is None
@@ -773,7 +749,7 @@ class TestRamifiedPlaces:
     @pytest.mark.parametrize("a", [7, Fraction(17, 9), 2 * 10**40 + 1])
     def test_no_factors_nothing_of_a(self, a, factor_calls):
         # a > 0 is a square at the real place, where (-1, -1) ramifies.
-        assert sqrt_central_nonsplit(QuaternionAlgebra(-1, -1), Fraction(a)) is None
+        assert sqrt(QuaternionAlgebra(-1, -1).scalar(a)) is None
         assert factor_calls == [-1, -1]
 
     def test_agrees_with_the_common_value_search(self):
@@ -788,7 +764,7 @@ class TestRamifiedPlaces:
                 continue
             a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 50))
             cases += 1
-            root = sqrt_central_nonsplit(A, a)
+            root = sqrt(A.scalar(a))
             if any(is_square(a * x) is not None for x in (1, A.alpha, A.beta)):
                 assert root is not None
                 continue

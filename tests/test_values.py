@@ -106,6 +106,22 @@ def test_copies_and_pickles_are_equal(case):
         assert type(y) is type(x) and y == x and repr(y) == repr(x)
 
 
+def test_lists_handed_in_are_stored_as_tuples():
+    # The value hashes, equals the one built from tuples, and changing the lists
+    # afterwards, which would also bypass validation, does not reach it.
+    pair, rows, rhs = [2, 1], [1], [0]
+    factors = [pair]
+    built = [(Factorization(1, factors), Factorization(1, ((2, 1),))),
+             (GF2System(rows, rhs, 1), GF2System((1,), (0,), 1))]
+    pair[1] = 0
+    factors.append((4, 1))
+    rows.append(8)
+    rhs.append(2)
+    for value, expected in built:
+        assert value == expected and hash(value) == hash(expected)
+        assert repr(value) == repr(expected)
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys; bare = set(sys.modules); import quatsqrt; "
