@@ -3,8 +3,10 @@
 Every invocation writes exactly one line of JSON to stdout. Exit codes:
 0 for a computed affirmative answer, 1 for a definite negative
 (not_a_square, unsolvable, empty_intersection), 2 for invalid input with a
-one-line diagnostic on stderr. Nothing is read from or written to disk, and
-equal inputs produce byte-identical output.
+one-line diagnostic on stderr, 3 for an internal error (a failed exact
+check, an exhausted search) with one "error: internal:" line on stderr.
+Nothing is read from or written to disk, and equal inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -189,6 +191,9 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3, ""
     return code, json.dumps(payload, separators=(",", ":"))
 
 

@@ -5,9 +5,9 @@ conic's Legendre form decides solvability by Legendre's conditions, and
 an exact solution is read off a single lattice reduction of that form
 (Cremona-Rusin 2003, Simon 2005).
 
-Values travel as `rationals._Classed`, which carries each one's square
-class (s, primes of s), with s squarefree and value = s*t^2, to every local
-test and to the Legendre form, whose primes are then all known.
+Each value comes with its square class (s, primes of s), s squarefree and
+value = s*t^2, so every local test and Legendre form knows its primes. The
+one conic kernel, `_conic`, works on integer pairs: `sqrt` calls it directly.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Iterator, Optional, Sequence
 from .hilbert import _hasse, _symbol_squarefree
 from .legendre import _legendre_zero
 from .places import Place, _local_classes, _local_square, _places_over
-from .rationals import (RationalLike, _Classed, _expect, _sqrt_ratio, _times, _Value, as_fraction,
-                        is_square)
+from .rationals import (RationalLike, _Class, _Classed, _expect, _sqrt_ratio, _times, _Value,
+                        as_fraction, is_square)
 
 Vector = tuple[Fraction, ...]
 
@@ -105,37 +105,44 @@ def is_isotropic(form: DiagonalForm) -> bool:
     return _isotropic([_Classed(x) for x in form])
 
 
-def _solve_conic(alpha: _Classed, c: _Classed) -> Optional[tuple[Fraction, Fraction]]:
-    """solve_conic on nonzero classed values; a square alpha reads no class.
+def _conic(alpha: tuple[int, int], ca: _Class, c: tuple[int, int],
+           cc: _Class) -> Optional[tuple[int, int, int, int]]:
+    """(xn, xd, yn, yd), all >= 0, with x = xn/xd and y = yn/yd solving
+    x^2 - alpha*y^2 = c, or None.
 
-    A square alpha makes the conic a pair of lines, solved directly. A
-    non-square alpha = s_a*t_a^2 and c = s_c*t_c^2 turn x^2 - alpha*y^2 = c
-    into the Legendre form g*X^2 - (s_a/g)*Y^2 - (s_c/g)*Z^2 = 0, with
-    g = gcd(s_a, s_c), x = t_c*g*X/Z and y = t_c*Y/(t_a*Z); Z != 0 since
-    s_a != 1; the conic is unsolvable exactly when that form has no zero.
+    alpha, not a square, and c come as (num, den > 0) pairs, not necessarily
+    reduced, with their classes: alpha = s_a*t_a^2 and c = s_c*t_c^2 give the
+    Legendre form g*X^2 - (s_a/g)*Y^2 - (s_c/g)*Z^2, g = gcd(s_a, s_c), and
+    x = t_c*g*X/Z, y = t_c*Y/(t_a*Z) for its zero; Z != 0 since s_a != 1, and
+    the conic is unsolvable exactly when the form has no zero.
     """
+    (sa, pa), (sc, pc) = ca, cc
+    g, common = math.gcd(sa, sc), set(pa) & set(pc)
+    rest = ([p for p in pa if p not in common], [p for p in pc if p not in common])
+    zero = _legendre_zero(g, -sa // g, -sc // g, common, *rest)
+    if zero is None:
+        return None
+    # t_a = ra/da and t_c = rc/dc, the roots of alpha/s_a and c/s_c.
+    (X, Y, Z), (an, ad), (cn, cd) = zero, alpha, c
+    da, dc = ad * abs(sa), cd * abs(sc)
+    ra, rc = _sqrt_ratio(abs(an), da), _sqrt_ratio(abs(cn), dc)
+    xn, xd, yn, yd = abs(rc * g * X), dc * abs(Z), abs(rc * Y * da), dc * abs(ra * Z)
+    if (xn * xn * yd * yd * ad - an * yn * yn * xd * xd) * cd != cn * ad * (xd * yd) ** 2:
+        raise RuntimeError("conic solution failed its exact check")
+    return xn, xd, yn, yd
+
+
+def _solve_conic(alpha: _Classed, c: _Classed) -> Optional[tuple[Fraction, Fraction]]:
+    """solve_conic on nonzero classed values: `_conic`, or, for a square alpha,
+    which reads no class, the pair of lines solved directly."""
     root = is_square(alpha.q)
     if root is not None:
         x, y = abs((c.q + 1) / 2), abs((c.q - 1) / (2 * root))
         if x * x - alpha.q * y * y != c.q:
             raise RuntimeError("conic solution failed its exact check")
         return x, y
-    (sa, pa), (sc, pc) = alpha.cls, c.cls
-    g = math.gcd(sa, sc)
-    common = set(pa) & set(pc)
-    rest = ([p for p in pa if p not in common], [p for p in pc if p not in common])
-    zero = _legendre_zero(g, -sa // g, -sc // g, common, *rest)
-    if zero is None:
-        return None
-    # On ints: t_a = ra/da and t_c = rc/dc, the roots of alpha/s_a and c/s_c
-    # read off their unreduced pairs, and x = xn/xd, y = yn/yd.
-    (X, Y, Z), (an, ad), (cn, cd) = zero, alpha.q.as_integer_ratio(), c.q.as_integer_ratio()
-    da, dc = ad * abs(sa), cd * abs(sc)
-    ra, rc = _sqrt_ratio(abs(an), da), _sqrt_ratio(abs(cn), dc)
-    xn, xd, yn, yd = abs(rc * g * X), dc * abs(Z), abs(rc * Y * da), dc * abs(ra * Z)
-    if (xn * xn * yd * yd * ad - an * yn * yn * xd * xd) * cd != cn * ad * (xd * yd) ** 2:
-        raise RuntimeError("conic solution failed its exact check")
-    return Fraction(xn, xd), Fraction(yn, yd)
+    sol = _conic(alpha.q.as_integer_ratio(), alpha.cls, c.q.as_integer_ratio(), c.cls)
+    return None if sol is None else (Fraction(sol[0], sol[1]), Fraction(sol[2], sol[3]))
 
 
 def solve_conic(

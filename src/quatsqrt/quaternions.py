@@ -3,10 +3,9 @@
 The algebra has basis 1, i, j, k with i^2 = alpha, j^2 = beta and
 k = ij = -ji. Square roots split into cases: non-central elements reduce to
 square tests on the norm, central elements to isotropy and norm equations of
-the attached quadratic forms. Each branch re-squares the root it builds,
-once, on integers: every coordinate of the square is cross-multiplied with
-the target's, and `sqrt` returns that root as it is. `_checked_root` checks
-every root on the integer pairs its Fractions are then built from.
+the attached quadratic forms. Each branch builds its root on integers, and
+`_checked_root` re-squares it once, cross-multiplying every coordinate of the
+square with the target's, before building its Fractions from those integers.
 """
 
 from __future__ import annotations
@@ -16,10 +15,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .forms import DiagonalForm, _isotropic_at, _solve_conic
+from .forms import DiagonalForm, _conic, _isotropic_at
 from .hilbert import _obstructions
 from .places import Place, _local_square
-from .rationals import RationalLike, _Classed, _expect, _sqrt_ratio, _Value, as_fraction, is_square
+from .rationals import (RationalLike, _Class, _class_times, _expect, _sqrt_ratio, _square_class,
+                        _Value, as_fraction, is_square)
 from .sqclasses import _search_common_value
 
 _ZERO = Fraction(0)
@@ -65,15 +65,10 @@ class QuaternionAlgebra(_Value):
         return not self._ramified
 
     @cached_property
-    def _classes(self) -> tuple[_Classed, _Classed]:
-        """alpha and beta with their classes: the algebra's only factorizations."""
-        return _Classed(self.alpha), _Classed(self.beta)
-
-    @cached_property
-    def _entries(self) -> tuple[_Classed, _Classed]:
-        """-alpha and -alpha*beta with their classes, shared by every non-split root's forms."""
-        A, B = self._classes
-        return -A, -(A * B)
+    def _classes(self) -> tuple[_Class, _Class, _Class]:
+        """The classes of alpha, beta and alpha*beta: the algebra's only factorizations."""
+        A, B = _square_class(self.alpha), _square_class(self.beta)
+        return A, B, _class_times(A, B)
 
     @cached_property
     def _ints(self) -> tuple[int, int, int, int]:
@@ -84,29 +79,27 @@ class QuaternionAlgebra(_Value):
     @cached_property
     def _ramified(self) -> list[Place]:
         """Every place v with (alpha, beta)_v = -1, ascending; empty iff the algebra splits."""
-        (A, B), (nA, nAB) = self._classes, self._entries
-        places = list(_obstructions(A.cls, B.cls))
-        if places and _isotropic_at([nA.cls[0], -B.cls[0], -nAB.cls[0]], places[0]):
+        A, B, AB = self._classes
+        places = list(_obstructions(A, B))
+        if places and _isotropic_at([-A[0], -B[0], AB[0]], places[0]):
             raise RuntimeError(f"the pure norm form is isotropic at the obstruction {places[0]}")
         return places
 
     @cached_property
     def _pure_isotropic_vector(self) -> tuple[Fraction, Fraction, Fraction]:
-        """An isotropic vector of the pure norm form; only exists when split.
-
-        Cached per algebra: recomputation is idempotent, so a race at worst
-        repeats the same work.
-        """
+        """An isotropic vector of the pure norm form; only exists when split. Cached
+        per algebra: recomputation is idempotent, so a race at worst repeats work."""
         c = is_square(self.alpha)
         if c is not None:
             # (0, c, 1) vanishes: -beta*c^2 + alpha*beta = beta*(alpha - c^2) = 0.
             vec = (Fraction(0), c, Fraction(1))
         else:
-            A, B = self._classes
-            sol = _solve_conic(A, -(A / B))
+            # x^2 - alpha*y^2 = -alpha/beta, the sign of c on its numerator.
+            (an, ad, bn, bd), (A, _, (s, primes)) = self._ints, self._classes
+            sol = _conic((an, ad), A, (-an * bd if bn > 0 else an * bd, ad * abs(bn)), (-s, primes))
             if sol is None:
                 raise RuntimeError("split algebra is missing an isotropic vector")
-            vec = (Fraction(1), *sol)
+            vec = (Fraction(1), Fraction(sol[0], sol[1]), Fraction(sol[2], sol[3]))
         if self.pure_norm_form()(vec) != 0:
             raise RuntimeError("isotropic vector construction failed")
         return vec
@@ -289,14 +282,14 @@ def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quate
     """The root of a = n/d, in lowest terms and not a rational square, in a
     non-split algebra, or None.
 
-    A root exists iff Q(sqrt a) embeds, i.e. a is a local square at no ramified
-    place; this is tested first, on n*d, and factors nothing of a. Roots along
-    i or j (a*alpha or a*beta a square) pass it: alpha and beta are non-squares
-    wherever (alpha, beta)_v = -1. Otherwise <a, -alpha> and
-    <beta, -alpha*beta>, anisotropic since neither a*alpha nor alpha is a
-    square, have a common value d for the search. Its certificates
-    a*m0^2 - alpha*v^2 = d = beta*l0^2 - alpha*beta*l1^2 give the pure root
-    (v*i + l0*j + l1*k)/m0, which squares to
+    A root exists iff Q(sqrt a) embeds: a is a local square at no ramified
+    place, tested first on n*d, which factors nothing of a. Roots along i or j
+    (a*alpha or a*beta a square) pass it, as alpha and beta are non-squares
+    wherever (alpha, beta)_v = -1. Otherwise <a, -alpha> and <beta, -alpha*beta>,
+    anisotropic since neither a*alpha nor alpha is a square, have a common
+    value e, searched on a's class and the algebra's. Its certificate conics
+    a*m0^2 - alpha*v^2 = e = beta*l0^2 - alpha*beta*l1^2, solved on integers,
+    give the pure root (v*i + l0*j + l1*k)/m0, of square
     (alpha*v^2 + beta*l0^2 - alpha*beta*l1^2)/m0^2 = a.
     """
     for v in algebra._ramified:
@@ -309,14 +302,21 @@ def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quate
     elif (r := _sqrt_ratio(n * bn, d * bd)) is not None:
         pure, y = (0, r, 0), d * bn
     else:
-        (A, B), (nA, nAB), Ca = algebra._classes, algebra._entries, _Classed(Fraction(n, d))
-        # The certificate conics' coefficients -b1/b0: alpha/a and alpha.
-        _, (m0, v), (l0, l1) = _search_common_value((Ca, nA), (B, nAB), (A / Ca, A))
+        (A, B, (sAB, pAB)), C = algebra._classes, _square_class(Fraction(n, d))
+        factors = _search_common_value((C, (-A[0], A[1])), (B, (-sAB, pAB)))
+        E, s = (math.prod(factors), [p for p in factors if p > 0]), 1 if n > 0 else -1
+        # On (num, den > 0) pairs, signs on the numerators, for e = E[0]:
+        # m0^2 - (alpha/a)*v^2 = e/a and l0^2 - alpha*l1^2 = e/beta.
+        cm = _conic((s * an * d, ad * abs(n)), _class_times(C, A), (s * E[0] * d, abs(n)),
+                    _class_times(C, E))
+        cl = _conic((an, ad), A, (E[0] * bd if bn > 0 else -E[0] * bd, abs(bn)), _class_times(B, E))
+        if cm is None or cl is None:
+            raise RuntimeError("common value failed its representation certificates")
         # m0 = 0 would make (v, l0, l1) a zero of the anisotropic pure norm form.
-        # (+-v*i + l0*j + l1*k)/m0, v's sign a's, over y = num(m0) * the lcm L of their dens.
-        xs = [(v if n > 0 else -v).as_integer_ratio(), l0.as_integer_ratio(), l1.as_integer_ratio()]
-        (mn, md), L = m0.as_integer_ratio(), math.lcm(*[e for _, e in xs])
-        pure, y = [x * md * (L // e) for x, e in xs], mn * L
+        # (+-v*i + l0*j + l1*k)/m0, v's sign a's, over num(m0)*den(v)*den(l0)*den(l1).
+        (xn1, xd1, yn1, yd1), (xn2, xd2, yn2, yd2) = cm, cl
+        pure = (s * yn1 * xd1 * xd2 * yd2, xn2 * xd1 * yd1 * yd2, yn2 * xd1 * yd1 * xd2)
+        y = xn1 * yd1 * xd2 * yd2
     return _checked_root(algebra, 0, 1, pure, y, d, (n, 0, 0, 0), "non-split central root")
 
 

@@ -345,7 +345,7 @@ class _Classed:
     """A nonzero rational q with its square class `cls`, (s, primes of s).
 
     An input's class is read by one `_square_class` call, the first time it is
-    asked for. -x, x*y and x/y derive theirs from their operands' classes (a
+    asked for. -x and x/y derive theirs from their operands' classes (a
     divisor's first), so a value built from inputs is never factored.
     """
 
@@ -368,9 +368,6 @@ class _Classed:
 
     def __neg__(self) -> "_Classed":
         return _Classed(-self.q, lambda: (-self.cls[0], self.cls[1]))
-
-    def __mul__(self, other: "_Classed") -> "_Classed":
-        return _Classed(self.q * other.q, lambda: _class_times(self.cls, other.cls))
 
     def __truediv__(self, other: "_Classed") -> "_Classed":
         return _Classed(self.q / other.q, lambda: _class_times(other.cls, self.cls))

@@ -1,33 +1,30 @@
 """Square classes of Q singular at a finite prime set, and common values.
 
-common_value finds one rational represented by both of two binary forms (or
-proves the intersection empty). Candidates are confined to square classes
-supported on a finite prime set; representability at each relevant place
-turns into a linear condition over GF(2), and the system is grown by
-appending primes until it becomes solvable. _common_value hands back the
-certificates too, (d, represents(xi, d), represents(zeta, d)), for reuse.
-It decides existence, and its search, _search_common_value, takes only
-two anisotropic forms whose values are known to meet.
+common_value finds one rational represented by both of two binary forms, or
+proves the intersection empty. Candidates are confined to square classes
+supported on a finite prime set; representability at each relevant place is
+a linear condition over GF(2), and primes are appended until the system is
+solvable. _common_value also returns the certificates (d, represents(xi, d),
+represents(zeta, d)). Its search, _search_common_value, takes the square
+classes (s, primes of s) of two anisotropic forms' entries whose values meet
+and returns d's factors, so `sqrt` solves d's certificate conics on integers.
 
-The system is built once, columns -1 and the starting primes (2 and the
-entries' primes), rows the real place and the odd starting primes, each row
-kept sparse as the set of columns whose symbol is -1 plus its rhs bit. The
+The system is built once: columns -1 and the starting primes (2 and the
+entries' primes), ascending, and one row, a column bitmask and an rhs bit,
+per discriminant D and place, the real one and each odd starting prime. The
 real row is read off signs: (D, c) = -1 only for c = -1 when D < 0, and the
 rhs only when both entries are negative. At an odd p, (u, p)_p = (u/p) for
-a p-unit u and two p-units give +1, so entries are Legendre symbols of unit
-parts: a narrow row (p not dividing its discriminant D) reads only column p,
-as (D/p), and its rhs only when p divides the entries; a wide row (p | D)
-reads (c/p) at a p-unit column c and (-(D/p)/p) at column p. An appended
-prime q adds (q/p) at each wide row, and q's own row is (D, q)_q = (D/q)
-with rhs 0. If that is -1 for either D, q's exponent is forced to 0 and q
-changes neither solvability nor the solution, so it is skipped without a
-solve and not counted toward the prime-append cap. There is no row at 2: by
-Hilbert reciprocity each column's symbols, and the rhs symbols, multiply to
-+1 over the real place, 2, the starting primes and the counted q (whose rows
-are zero), which hold every -1; so each form's row at 2 is the sum of its
-others, and the row space is the same. Columns stay ascending and
-`solve_gf2`, row by row, returns the unique reduced echelon form's
-solution, so it picks the d a system rebuilt every round would.
+a p-unit u and two p-units give +1: a narrow row (p not dividing D) reads
+only column p, as (D/p), and its rhs only when p divides the entries; a wide
+row (p | D) reads (c/p) at each p-unit column c, computed once for both D,
+and (-(D/p)/p) at column p. An appended prime q adds (q/p) at each wide row,
+and its own row is (D, q)_q = (D/q) with rhs 0; if that is -1 for either D,
+q's exponent is forced to 0, so q is skipped without a solve and not counted
+toward the prime-append cap. No row at 2: by reciprocity each column's and
+the rhs symbols multiply to +1 over the real place, 2, the starting primes
+and the counted q, which hold every -1, so each form's row at 2 is the sum of
+its others. Columns stay ascending and `solve_gf2` returns the unique reduced
+echelon form's solution, so it picks the d a system rebuilt every round would.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from .forms import DiagonalForm, _isotropic, _solve_conic
 from .hilbert import _symbol_squarefree
 from .legendre import _legendre
 from .places import Place, iter_primes
-from .rationals import _Classed, _expect, _times, _Value, is_prime, is_square
+from .rationals import _Class, _Classed, _expect, _times, _Value, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
 
@@ -119,20 +116,13 @@ def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
-def _bit(sym: int) -> int:
-    # Hilbert symbols and real signs live in {+1, -1}; map to additive GF(2).
-    return (1 - sym) // 2
-
-
 _Certified = tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 
-def _certified(xi: Sequence[_Classed], zeta: Sequence[_Classed], d: _Classed,
-               conics: Optional[Sequence[_Classed]] = None) -> _Certified:
-    """d with its certificates: <b0, b1> represents d by (u, v) with u^2 - c*v^2 =
-    d/b0, c = -b1/b0 unless the caller hands the two c in, the conic solved."""
-    conics = conics or [-b1 / b0 for b0, b1 in (xi, zeta)]
-    reps = [_solve_conic(c, d / b0) for c, (b0, _) in zip(conics, (xi, zeta))]
+def _certified(xi: Sequence[_Classed], zeta: Sequence[_Classed], d: _Classed) -> _Certified:
+    """d with its certificates: <b0, b1> represents d by (u, v) with
+    u^2 - (-b1/b0)*v^2 = d/b0, the conic solved."""
+    reps = [_solve_conic(-b1 / b0, d / b0) for b0, b1 in (xi, zeta)]
     if None in reps:
         raise RuntimeError("common value failed its representation certificates")
     return d.q, reps[0], reps[1]
@@ -162,45 +152,46 @@ def _common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> Optional[
     for form, other in ((xi, zeta), (zeta, xi)):
         if is_square(-form[0].q * form[1].q) is not None:
             return _certified(xi, zeta, other[0])
-    return _search_common_value(xi, zeta) if _isotropic([*xi, -zeta[0], -zeta[1]]) else None
+    if not _isotropic([*xi, -zeta[0], -zeta[1]]):
+        return None
+    factors = _search_common_value(*([x.cls for x in form] for form in (xi, zeta)))
+    return _certified(xi, zeta, _Classed._squarefree(factors))
 
 
-def _search_common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed],
-                         conics: Optional[Sequence[_Classed]] = None) -> _Certified:
-    """The GF(2) search, for two anisotropic forms whose values meet; conics as `_certified`'s."""
-    start = sorted({2, *(p for x in (*xi, *zeta) for p in x.cls[1])})
-    columns = [-1, *start]
+def _search_common_value(xi: Sequence[_Class], zeta: Sequence[_Class]) -> list[int]:
+    """The GF(2) search on the entries' classes, for two anisotropic forms whose
+    values meet: the factors, from -1 and the primes, of the common value."""
+    columns = [-1, *sorted({2, *(p for _, primes in (*xi, *zeta) for p in primes)})]
     # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree
     # parts stand for the six classes, so no round factors anything.
-    (sx0, sx1), (sz0, sz1) = ((b0.cls[0], b1.cls[0]) for b0, b1 in (xi, zeta))
+    (sx0, sx1), (sz0, sz1) = ((b0[0], b1[0]) for b0, b1 in (xi, zeta))
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
-    # One row per discriminant D and place: (p at a wide row, where appended
-    # primes enter, else None; rhs bit; the columns whose symbol is -1).
+    # At each p dividing either D, the mask of the columns c != p with (c/p) = -1.
+    wide = {p: sum(1 << k for k, c in enumerate(columns) if c != p and _legendre(c, p) == -1)
+            for p in columns[2:] if sx % p == 0 or sz % p == 0}
+    # One row per D and place, the real one first: its mask, rhs bit, and p at a
+    # wide row, where appended primes enter, else None. Column k is bit k.
     rows = []
     for disc, b0, b1 in ((sx, sx0, sx1), (sz, sz0, sz1)):
-        rows.append((None, int(b0 < 0 and b1 < 0), {-1} if disc < 0 else set()))
-        for p in start[1:]:
-            rhs = _bit(_symbol_squarefree(b0, b1, Place._unchecked(p))) if b0 * b1 % p == 0 else 0
-            wide = disc % p == 0
-            units = {c: -(disc // p) if c == p else c for c in columns} if wide else {p: disc}
-            neg = {c for c, u in units.items() if _legendre(u, p) == -1}
-            rows.append((p if wide else None, rhs, neg))
-    appended = (q for q in iter_primes() if q not in start)
+        rows.append((int(disc < 0), int(b0 < 0 and b1 < 0), None))
+        for k, p in enumerate(columns[2:], 2):
+            wp = p if disc % p == 0 else None
+            minus = b0 * b1 % p == 0 and _symbol_squarefree(b0, b1, Place._unchecked(p)) == -1
+            own = _legendre(disc if wp is None else -(disc // p), p) == -1
+            rows.append((wide.get(wp, 0) | own << k, int(minus), wp))
+    (masks, rhs, at), appended = zip(*rows), (q for q in iter_primes() if q not in columns)
     for counted in itertools.count():
-        index = {c: k for k, c in enumerate(columns)}
-        live = [(sum(1 << index[c] for c in neg), b) for _, b, neg in rows if neg or b]
-        masks, bits = tuple(m for m, _ in live), tuple(b for _, b in live)
-        eps = solve_gf2(GF2System._unchecked(masks, bits, len(columns)))
+        eps = solve_gf2(GF2System._unchecked(tuple(masks), rhs, len(columns)))
         if eps is not None:
-            d = _Classed._squarefree([c for c, e in zip(columns, eps) if e])
-            return _certified(xi, zeta, d, conics)
+            return [c for c, e in zip(columns, eps) if e]
         if counted == _PRIME_APPEND_CAP:
             raise RuntimeError("common-value search exceeded the prime-append cap")
         # q is odd and outside the starting primes, so the discriminants, rhs
         # entries and earlier columns are all units at q: their symbols at q
         # are +1. Of q's own row only (D, q)_q = (D/q) is left; -1 forces eps_q = 0.
         q = next(q for q in appended if _legendre(sx, q) == 1 == _legendre(sz, q))
-        for p, _, neg in rows:
-            if p is not None and _legendre(q, p) == -1:
-                neg.add(q)
-        bisect.insort(columns, q)
+        # q's column is bit k, the bits above move up one; it holds (q/p) at wide rows.
+        k = bisect.bisect(columns, q)
+        columns.insert(k, q)
+        low, neg = (1 << k) - 1, {p for p in wide if _legendre(q, p) == -1}
+        masks = [m & low | (m & ~low) << 1 | (p in neg) << k for m, p in zip(masks, at)]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import quatsqrt.sqclasses as sqclasses
 from quatsqrt.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -237,3 +238,16 @@ class TestInvalidInput:
             assert run([command, *spelling]) == (2, ""), spelling
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+class TestInternalError:
+    def test_exit_three_and_stderr_line(self, monkeypatch, capsys):
+        # With no appended prime allowed, this pair's search stops at its cap:
+        # a RuntimeError inside the handler, not a definite "no".
+        argv = ["common-value", "--xi", "1463/5,-237/2", "--zeta", "303/23,-1116"]
+        assert run(argv) == (0, '{"status":"ok","d":"420690"}')
+        capsys.readouterr()
+        monkeypatch.setattr(sqclasses, "_PRIME_APPEND_CAP", 0)
+        assert run(argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err == "error: internal: common-value search exceeded the prime-append cap\n"

@@ -1,5 +1,6 @@
 """Quaternion arithmetic identities and the branches of `sqrt`."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -27,7 +28,7 @@ from quatsqrt.sqclasses import GF2System, _common_value, common_value, singular_
 
 import oracles
 from oracles import hilbert_oracle_finite, hilbert_oracle_real
-from test_acceptance import _random_algebra
+from test_acceptance import _random_algebra, _random_fraction
 
 H = QuaternionAlgebra(Fraction(-1), Fraction(-1))  # Hamilton
 M = QuaternionAlgebra(Fraction(1), Fraction(1))  # split
@@ -617,6 +618,20 @@ class TestSqrtCentralNonsplit:
         _, (m0, _), _ = found
         assert m0 != 0
 
+    def test_root_is_the_paper_formula_on_the_certificates(self):
+        # (+-v*i + l0*j + l1*k)/m0, v with a's sign, from the Fraction certificates
+        # of the public common-value path: sqrt's integer path gives the same root.
+        rng, cases = random.Random(202), 0
+        for A in _acceptance_nonsplit() * 8:
+            a = A.quaternion(0, *(_random_fraction(rng, 20, 20) for _ in range(3))).square().q0
+            if a == 0 or any(is_square(a * x) is not None for x in (1, A.alpha, A.beta)):
+                continue
+            forms = ((a, -A.alpha), (A.beta, -A.alpha * A.beta))
+            _, (m0, v), (l0, l1) = _common_value(*([_Classed(x) for x in form] for form in forms))
+            assert sqrt(A.scalar(a)).coords == (0, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)
+            cases += 1
+        assert cases >= 50
+
     def test_general_path_is_pure(self):
         r = sqrt(H.scalar(-2))
         assert r is not None and r.square() == H.scalar(-2)
@@ -645,15 +660,16 @@ class TestSqrtCentralNonsplit:
 
     @pytest.mark.parametrize("params, a, root", PINNED_ROOTS)
     def test_two_conic_solves_per_root(self, params, a, root, monkeypatch):
-        # The two certificates of the common value are the two norm equations.
+        # The two certificates of the common value are the two norm equations,
+        # each solved once by the integer conic kernel.
         calls = []
-        solve = sqclasses_module._solve_conic
+        conic = quaternions_module._conic
 
-        def counting(alpha, c):
-            calls.append((alpha, c))
-            return solve(alpha, c)
+        def counting(*args):
+            calls.append(args)
+            return conic(*args)
 
-        monkeypatch.setattr(sqclasses_module, "_solve_conic", counting)
+        monkeypatch.setattr(quaternions_module, "_conic", counting)
         A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
         assert sqrt(A.scalar(a)) is not None
         assert len(calls) == 2
@@ -686,12 +702,12 @@ class TestSqrtCentralNonsplit:
     @pytest.mark.parametrize("params, a1, a2", [((3, -7), Fraction(-27, 7), Fraction(31, 8)),
                                                  ((2, 5), 13, Fraction(-56, 3))])
     def test_second_root_derives_no_class_of_the_algebra(self, params, a1, a2, monkeypatch):
-        # -alpha and -alpha*beta are cached with their classes, and alpha is
-        # handed in as the zeta certificate conic's coefficient: a second root
-        # reads a's class and derives only those of alpha/a, d/a and d/beta.
+        # The classes of alpha, beta and alpha*beta are cached with the algebra:
+        # a second root reads a's class and derives only those of alpha/a, e/a
+        # and e/beta, building no classed value and doing no Fraction arithmetic.
         A = QuaternionAlgebra(*params)
         assert sqrt(A.scalar(a1)) is not None
-        read, derived = [], []
+        read, derived, arithmetic = [], [], []
         square_class, class_times = rationals._square_class, rationals._class_times
 
         def reading(q):
@@ -699,16 +715,26 @@ class TestSqrtCentralNonsplit:
             return square_class(q)
 
         def deriving(x, y):
-            derived.append(class_times(x, y))
-            return derived[-1]
+            derived.append((x, y))
+            return class_times(x, y)
 
-        monkeypatch.setattr(rationals, "_square_class", reading)
-        monkeypatch.setattr(rationals, "_class_times", deriving)
+        def refuse(*args):
+            raise AssertionError("built a classed value")
+
+        monkeypatch.setattr(quaternions_module, "_square_class", reading)
+        monkeypatch.setattr(quaternions_module, "_class_times", deriving)
+        monkeypatch.setattr(rationals._Classed, "__init__", refuse)
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+            op = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda *x, op=op: arithmetic.append(op) or op(*x))
         assert sqrt(A.scalar(a2)) is not None
-        assert read == [a2]
+        monkeypatch.undo()
+        assert read == [a2] and arithmetic == []
         assert len(derived) == 3
-        algebra = {abs(square_class(x)[0]) for x in (A.alpha, A.alpha * A.beta)}
-        assert not algebra & {abs(s) for s, _ in derived}
+        alpha, beta, alpha_beta = A._classes
+        assert alpha_beta == rationals._class_times(alpha, beta)
+        assert (alpha, beta) not in derived
+        assert all(alpha_beta not in pair for pair in derived)
 
     def test_product_of_large_inputs_is_not_factored(self, factor_calls):
         # alpha*beta is a 32-digit semiprime that Pollard rho takes seconds
@@ -768,8 +794,8 @@ class TestRamifiedPlaces:
             if any(is_square(a * x) is not None for x in (1, A.alpha, A.beta)):
                 assert root is not None
                 continue
-            X, Y = A._classes
-            found = _common_value((_Classed(a), -X), (Y, -(X * Y)))
+            found = _common_value((_Classed(a), _Classed(-A.alpha)),
+                                  (_Classed(A.beta), _Classed(-A.alpha * A.beta)))
             assert (root is None) == (found is None)
             if root is None:
                 # the "no" names a place where the algebra ramifies and a is a local square
@@ -839,3 +865,27 @@ class TestSqrtDispatcher:
         s = sqrt(q)
         if s is not None:
             assert s.square() == q
+
+
+def _criterion_2_stream():
+    """360 central elements on acceptance criterion 2's 24 algebras: every third a
+    random scalar, with or without a root, the others squares of random pure
+    quaternions, so every central branch of `sqrt` is taken."""
+    rng = random.Random(202)
+    algebras = [_random_algebra(rng) for _ in range(24)]
+    rng = random.Random(2202)
+    for k in range(360):
+        A = algebras[k % 24]
+        if k % 3 == 0:
+            yield A.scalar(_random_fraction(rng, 60, 60))
+        else:
+            yield A.quaternion(0, *(_random_fraction(rng, 20, 20) for _ in range(3))).square()
+
+
+def test_roots_are_pinned_by_digest():
+    # The sha256 of repr(sqrt(q)), one line per q of the stream: any root that
+    # moves, in any coordinate, changes it.
+    h = hashlib.sha256()
+    for q in _criterion_2_stream():
+        h.update(repr(sqrt(q)).encode() + b"\n")
+    assert h.hexdigest() == "a9d3455b1f585b4c1e1282ce8341097ef9eba39a9de873f7b5141f9eb9470413"

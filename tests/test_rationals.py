@@ -262,9 +262,9 @@ class TestClassed:
         # built is never factored, and its class is the one read off it.
         cases = [
             (lambda a, b: -a, -x, [x]),
-            (lambda a, b: a * b, x * y, [x, y]),
             (lambda a, b: a / b, x / y, [y, x]),
-            (lambda a, b: -(a * b) / a, -y, [x, y]),
+            (lambda a, b: -a / b, -x / y, [y, x]),
+            (lambda a, b: -(a / b) / a, -1 / y, [x, y]),
         ]
         for build, value, reads in cases:
             calls = []
