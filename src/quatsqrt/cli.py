@@ -57,6 +57,13 @@ def _rational_list(text: str, flag: str, expected: Optional[int] = None) -> list
     return [_rational(part, flag) for part in parts]
 
 
+def _form(text: str, flag: str, expected: Optional[int] = None) -> DiagonalForm:
+    entries = _rational_list(text, flag, expected)
+    if any(x == 0 for x in entries):
+        raise _UsageError(f"{flag}: entries must be nonzero")
+    return DiagonalForm(tuple(entries))
+
+
 def _fmt(values: Sequence[Fraction]) -> list[str]:
     return [str(v) for v in values]
 
@@ -101,10 +108,7 @@ def _cmd_conic(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_isotropic(args: argparse.Namespace) -> tuple[int, dict]:
-    entries = _rational_list(args.form, "--form")
-    if any(x == 0 for x in entries):
-        raise _UsageError("--form: entries must be nonzero")
-    form = DiagonalForm(tuple(entries))
+    form = _form(args.form, "--form")
     answer = is_isotropic(form)
     payload: dict = {"isotropic": answer}
     if answer and form.dim == 3:
@@ -113,8 +117,7 @@ def _cmd_isotropic(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_common_value(args: argparse.Namespace) -> tuple[int, dict]:
-    xi = DiagonalForm(tuple(_rational_list(args.xi, "--xi", 2)))
-    zeta = DiagonalForm(tuple(_rational_list(args.zeta, "--zeta", 2)))
+    xi, zeta = _form(args.xi, "--xi", 2), _form(args.zeta, "--zeta", 2)
     d = common_value(xi, zeta)
     if d is None:
         return 1, {"status": "empty_intersection"}

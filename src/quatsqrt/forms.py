@@ -55,12 +55,6 @@ class DiagonalForm(_Value):
             raise ValueError(f"expected a vector of length {self.dim}, got {len(vec)}")
         return sum((a * x * x for a, x in zip(self.entries, vec)), Fraction(0))
 
-    def determinant(self) -> Fraction:
-        out = Fraction(1)
-        for a in self.entries:
-            out *= a
-        return out
-
 
 def _isotropic_at(reps: Sequence[int], v: Place) -> bool:
     """Local isotropy at v of a diagonal form given by its entries' classes."""
@@ -117,9 +111,9 @@ def _conic(alpha: tuple[int, int], ca: _Class, c: tuple[int, int],
     the conic is unsolvable exactly when the form has no zero.
     """
     (sa, pa), (sc, pc) = ca, cc
-    g, common = math.gcd(sa, sc), set(pa) & set(pc)
-    rest = ([p for p in pa if p not in common], [p for p in pc if p not in common])
-    zero = _legendre_zero(g, -sa // g, -sc // g, common, *rest)
+    g = math.gcd(sa, sc)  # the primes of both divide it, and no other
+    zero = _legendre_zero(g, -sa // g, -sc // g, [p for p in pa if g % p == 0],
+                          [p for p in pa if g % p], [p for p in pc if g % p])
     if zero is None:
         return None
     # t_a = ra/da and t_c = rc/dc, the roots of alpha/s_a and c/s_c.

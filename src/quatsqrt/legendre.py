@@ -1,17 +1,18 @@
 """Legendre's equation A*X^2 + B*Y^2 + C*Z^2 = 0 over Z, by lattice reduction.
 
-A, B, C are squarefree and pairwise coprime, and their primes are known,
-so nothing here factors. Legendre's criterion decides solvability, and a
-zero is read off one integral LLL reduction, unrolled for rank 3, of a
-lattice in Z^3 of index |ABC| (Cremona and Rusin, "Efficient solution of
-rational conics", Math. Comp. 72, 2003), on which Q/(ABC) is unimodular,
-by splitting off the first reduced vector as in D. Simon, "Solving
-quadratic equations using reduced unimodular quadratic forms", Math.
-Comp. 74, 2005.
+A, B, C are squarefree and pairwise coprime, and their primes are known, so
+nothing here factors. Legendre's criterion decides solvability by roots mod
+|A|, |B|, |C|, one exponentiation per prime, and a zero is read off one
+integral LLL reduction, unrolled for rank 3, of a lattice in Z^3 of index
+|ABC| (Cremona and Rusin, "Efficient solution of rational conics", Math.
+Comp. 72, 2003), on which Q/(ABC) is unimodular, by splitting off the first
+reduced vector as in D. Simon, "Solving quadratic equations using reduced
+unimodular quadratic forms", Math. Comp. 74, 2005.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional, Sequence
 
 
@@ -21,27 +22,31 @@ def _legendre(u: int, p: int) -> int:
 
 
 def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
-    """A square root of n modulo the prime p (Tonelli-Shanks), or None."""
+    """A square root of n modulo the prime p, or None, from one exponentiation:
+    r = n^((p+1)/4) if r^2 = n for p = 3 mod 4; else, with p - 1 = q*2^s and
+    x = n^((q-1)/2), r = n*x if t = r*x = n^q is 1, or Tonelli-Shanks from r
+    and t, where t of order 2^s makes n a non-residue."""
     n %= p
     if p == 2 or n == 0:
         return n
-    if _legendre(n, p) == -1:
-        return None
     if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while _legendre(z, p) == 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    x = pow(n, (q - 1) // 2, p)
+    r, t = n * x % p, n * x * x % p
+    if t == 1:
+        return r
+    z = next(z for z in itertools.count(2) if _legendre(z, p) == -1)
+    m, c = s, pow(z, q, p)
     while t != 1:
         i, t2 = 1, t * t % p
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == m:
+            return None
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p
@@ -50,46 +55,45 @@ def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
     return r
 
 
-def _crt(residues: Iterable[tuple[int, int]]) -> int:
-    """The least r >= 0 with r = r_m mod m for each (r_m, m), moduli pairwise coprime."""
-    r, mod = 0, 1
-    for rm, m in residues:
-        r += mod * ((rm - r) * pow(mod, -1, m) % m)
-        mod *= m
-    return r
-
-
 def _root(num: int, den: int, primes: Iterable[int]) -> Optional[int]:
-    """A square root of num/den modulo the product of distinct primes, den a
-    unit there, or None when one of the primes has none."""
-    roots = [(_sqrt_mod_prime(num * pow(den, -1, p), p), p) for p in primes]
-    return None if any(r is None for r, _ in roots) else _crt(roots)
+    """A square root of num/den modulo the product of distinct primes, den a unit
+    there, combined by the Chinese remainder theorem, or None at the first of
+    the primes that has none."""
+    r, mod = 0, 1
+    for p in primes:
+        if (rp := _sqrt_mod_prime(num * pow(den, -1, p), p)) is None:
+            return None
+        r += mod * ((rp - r) * pow(mod, -1, p) % p)
+        mod *= p
+    return r
 
 
 def _lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[Sequence[int], ...]:
     """LLL-reduce a rank-3 lattice basis under the form sum w_i*x_i^2, all w_i > 0.
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.6.7) with delta = 99/100, unrolled for three vectors b0, b1, b2.
+    Alg. 2.6.7) with delta = 99/100, unrolled for three vectors b0 = (x0, x1,
+    x2), b1 = (y0, y1, y2) and b2 = (z0, z1, z2), held as nine integers.
     The Gram-Schmidt data are the integers d1, d2, d3 (the Gram determinants
     of b0, of b0 and b1, of all three) and l10, l20, l21, so every step is
     exact; they are computed once and updated by each reduction and swap.
     Each pass size-reduces b1 and tests it, then b2; a swap at either
     restarts the pass, as k = max(k - 1, 1) does in the algorithm.
     """
-    (b0, b1, b2), (w0, w1, w2) = basis, weights
-    (d1, l10, l20), (_, g11, g12), (_, _, g22) = (
-        [w0 * u[0] * v[0] + w1 * u[1] * v[1] + w2 * u[2] * v[2] for v in basis] for u in basis
-    )
+    ((x0, x1, x2), (y0, y1, y2), (z0, z1, z2)), (w0, w1, w2) = basis, weights
+    u0, u1, u2, v0, v1, v2 = w0 * x0, w1 * x1, w2 * x2, w0 * y0, w1 * y1, w2 * y2
+    d1, l10 = u0 * x0 + u1 * x1 + u2 * x2, u0 * y0 + u1 * y1 + u2 * y2
+    l20, g11 = u0 * z0 + u1 * z1 + u2 * z2, v0 * y0 + v1 * y1 + v2 * y2
+    g12, g22 = v0 * z0 + v1 * z1 + v2 * z2, w0 * z0 * z0 + w1 * z1 * z1 + w2 * z2 * z2
     d2, l21 = d1 * g11 - l10 * l10, d1 * g12 - l20 * l10
     d3 = (d2 * (d1 * g22 - l20 * l20) - l21 * l21) // d1
     while True:
         if 2 * abs(l10) > d1:
             q = (2 * l10 + d1) // (2 * d1)  # nearest to l10/d1
-            b1 = (b1[0] - q * b0[0], b1[1] - q * b0[1], b1[2] - q * b0[2])
+            y0, y1, y2 = y0 - q * x0, y1 - q * x1, y2 - q * x2
             l10 -= q * d1
         if 100 * (d2 + l10 * l10) < 99 * d1 * d1:
-            b0, b1 = b1, b0
+            x0, x1, x2, y0, y1, y2 = y0, y1, y2, x0, x1, x2
             new = (d2 + l10 * l10) // d1
             l21, s = (d2 * l20 - l10 * l21) // d1, l21
             l20 = (new * s + l10 * l21) // d2
@@ -97,15 +101,15 @@ def _lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[Sequen
             continue
         if 2 * abs(l21) > d2:
             q = (2 * l21 + d2) // (2 * d2)
-            b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1], b2[2] - q * b1[2])
+            z0, z1, z2 = z0 - q * y0, z1 - q * y1, z2 - q * y2
             l20 -= q * l10
             l21 -= q * d2
         if 100 * (d3 * d1 + l21 * l21) >= 99 * d2 * d2:
             if 2 * abs(l20) > d1:
                 q = (2 * l20 + d1) // (2 * d1)
-                b2 = (b2[0] - q * b0[0], b2[1] - q * b0[1], b2[2] - q * b0[2])
-            return b0, b1, b2
-        b1, b2, l10, l20 = b2, b1, l20, l10
+                z0, z1, z2 = z0 - q * x0, z1 - q * x1, z2 - q * x2
+            return (x0, x1, x2), (y0, y1, y2), (z0, z1, z2)
+        y0, y1, y2, z0, z1, z2, l10, l20 = z0, z1, z2, y0, y1, y2, l20, l10
         d2 = (d1 * d3 + l21 * l21) // d2
 
 
@@ -140,18 +144,17 @@ def _legendre_zero(
     """
     if min(A, B, C) > 0 or max(A, B, C) < 0:
         return None
-    lam, mu, nu = _root(-C, B, pa), _root(-C, A, pb), _root(-B, A, pc)
-    if None in (lam, mu, nu):
+    if ((lam := _root(-C, B, pa)) is None or (mu := _root(-C, A, pb)) is None
+            or (nu := _root(-B, A, pc)) is None):
         return None
-    bc = abs(B * C)
-    b1, b2, b3 = _lll(
-        [
-            (bc, 0, 0),
-            (_crt(((0, abs(B)), (nu * A, abs(C)))), A, 0),
-            (_crt(((mu, abs(B)), (nu * lam, abs(C)))), lam, 1),
-        ],
-        (abs(A), abs(B), abs(C)),
-    )
+    # The basis's first coordinates are 0 and mu mod |B|, nu*A and nu*lam mod |C|.
+    b, c = abs(B), abs(C)
+    inv = pow(b, -1, c)
+    b1, b2, b3 = _lll([(b * c, 0, 0), (b * (nu * A * inv % c), A, 0),
+                       (mu + b * ((nu * lam - mu) * inv % c), lam, 1)], (abs(A), b, c))
+    eps = (A * b1[0] * b1[0] + B * b1[1] * b1[1] + C * b1[2] * b1[2]) // (A * B * C)
+    if eps == 0:
+        return b1
 
     def g(u: Sequence[int], v: Sequence[int]) -> int:
         return (A * u[0] * v[0] + B * u[1] * v[1] + C * u[2] * v[2]) // (A * B * C)
@@ -159,14 +162,11 @@ def _legendre_zero(
     def plus(u: Sequence[int], v: Sequence[int]) -> list[int]:
         return [x + y for x, y in zip(u, v)]
 
-    eps = g(b1, b1)
-    found: Optional[Sequence[int]] = b1
-    if eps:
-        c2, c3 = ([x - eps * g(b, b1) * y for x, y in zip(b, b1)] for b in (b2, b3))
-        if eps == -1:
-            found = next((v for v in (c2, c3, plus(c2, c3)) if g(v, v) == 0), None)
-        else:
-            found = next((plus(b1, v) for v in (c2, c3) if g(v, v) == -1), None)
+    c2, c3 = ([x - eps * g(b, b1) * y for x, y in zip(b, b1)] for b in (b2, b3))
+    if eps == -1:
+        found = next((v for v in (c2, c3, plus(c2, c3)) if g(v, v) == 0), None)
+    else:
+        found = next((plus(b1, v) for v in (c2, c3) if g(v, v) == -1), None)
     if found is None:
         raise RuntimeError("the reduced basis did not give a zero of the Legendre form")
     return tuple(found)

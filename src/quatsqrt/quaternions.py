@@ -139,10 +139,6 @@ class Quaternion(_Value):
         """Central elements of a quaternion algebra are exactly the scalars."""
         return self.q1 == 0 and self.q2 == 0 and self.q3 == 0
 
-    @property
-    def is_pure(self) -> bool:
-        return self.q0 == 0
-
     def _same_algebra(self, other: "Quaternion") -> None:
         _expect(other, Quaternion)
         if self.algebra != other.algebra:
@@ -185,9 +181,6 @@ class Quaternion(_Value):
 
     def __rmul__(self, other: Union[int, Fraction]) -> "Quaternion":
         return self * other
-
-    def conj(self) -> "Quaternion":
-        return Quaternion(self.algebra, self.q0, -self.q1, -self.q2, -self.q3)
 
     def _scaled(self) -> tuple[int, tuple[int, int, int, int]]:
         """(D, (n0, n1, n2, n3)) with q_i = n_i/D, D the lcm of the as_integer_ratio() pairs."""
@@ -317,7 +310,9 @@ def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quate
         (xn1, xd1, yn1, yd1), (xn2, xd2, yn2, yd2) = cm, cl
         pure = (s * yn1 * xd1 * xd2 * yd2, xn2 * xd1 * yd1 * yd2, yn2 * xd1 * yd1 * xd2)
         y = xn1 * yd1 * xd2 * yd2
-    return _checked_root(algebra, 0, 1, pure, y, d, (n, 0, 0, 0), "non-split central root")
+    g = math.gcd(y, *pure)  # the check multiplies the root's pairs in lowest terms
+    return _checked_root(algebra, 0, 1, [x // g for x in pure], y // g, d, (n, 0, 0, 0),
+                         "non-split central root")
 
 
 def sqrt(q: Quaternion) -> Optional[Quaternion]:

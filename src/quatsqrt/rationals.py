@@ -183,24 +183,26 @@ _SIEVED = 10**4
 
 
 @cache
-def _small_primes() -> tuple[tuple[int, ...], int, list[tuple[int, tuple[int, ...]]]]:
-    """The primes below 10^4; of those past 43, their product and blocks of 32
-    with their products. Sieved on first use, not at import."""
+def _small_primes() -> tuple[tuple[int, ...], list[int], list[tuple[int, tuple[int, ...], int]]]:
+    """The primes below 10^4, the last of each block of 32 past 43, and the blocks as
+    (product, block, product from 47 to its end). Sieved on first use, not at import."""
     sieve = bytearray([0, 0]) + bytearray([1]) * (_SIEVED - 2)
     for p in range(2, math.isqrt(_SIEVED) + 1):
         sieve[p * p::p] = bytes(len(range(p * p, _SIEVED, p)))
     primes = tuple(itertools.compress(range(_SIEVED), sieve))
     blocks = [primes[i:i + 32] for i in range(len(_MR_BASES), len(primes), 32)]
-    return primes, math.prod(primes[len(_MR_BASES):]), [(math.prod(b), b) for b in blocks]
+    running = itertools.accumulate(map(math.prod, blocks), operator.mul)
+    return primes, [b[-1] for b in blocks], [(math.prod(b), b, r) for b, r in zip(blocks, running)]
 
 
 def _factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as an exponent map.
 
     The primes to 43 are divided out, as `is_prime` would find them first.
-    One gcd with the product of the primes from 47 to 10^4 finds those that
-    divide the cofactor; only the blocks holding them are divided through.
-    A cofactor below 10^8 is then prime, as is every part below 10^8 that
+    One gcd with the product of the primes from 47 to the end of the 32-prime
+    block that holds sqrt(n) (to 10^4 for n >= 10^8) finds those that divide
+    the cofactor; only the blocks holding them are divided through. A cofactor
+    below 10^8 is then 1 or prime, as is every part below 10^8 that
     `_pollard_rho` splits off; a larger one is proven prime or split again.
     """
     out: dict[int, int] = {}
@@ -209,9 +211,10 @@ def _factor_int(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n >= 47 * 47:  # below, n is 1 or a prime
-        _, product, blocks = _small_primes()
-        g = math.gcd(n, product)
-        for block_product, block in blocks:
+        _, lasts, blocks = _small_primes()
+        blocks = blocks[:bisect.bisect_left(lasts, math.isqrt(n)) + 1]
+        g = math.gcd(n, blocks[-1][2])
+        for block_product, block, _ in blocks:
             if g > 1 and (h := math.gcd(g, block_product)) > 1:
                 g //= h
                 for p in block:
@@ -308,14 +311,13 @@ class Factorization(_Value):
 
 def factor(q: RationalLike) -> Factorization:
     """Signed prime factorization of a nonzero rational."""
-    q = as_fraction(q)
-    if q == 0:
+    n, d = as_fraction(q).as_integer_ratio()
+    if n == 0:
         raise ValueError("cannot factor zero")
-    exps = _factor_int(abs(q.numerator))
-    for p, e in _factor_int(q.denominator).items():
-        exps[p] = exps.get(p, 0) - e
-    factors = tuple(sorted((p, e) for p, e in exps.items() if e != 0))
-    return Factorization._unchecked(1 if q > 0 else -1, factors)
+    exps = _factor_int(abs(n))
+    if d > 1:  # coprime to n: its primes are new keys
+        exps |= {p: -e for p, e in _factor_int(d).items()}
+    return Factorization._unchecked(1 if n > 0 else -1, tuple(sorted(exps.items())))
 
 
 _Class = tuple[int, list[int]]  # (s, primes of s) for a squarefree integer s
@@ -338,7 +340,8 @@ def _times(a: int, b: int) -> int:
 
 def _class_times(a: _Class, b: _Class) -> _Class:
     """The square class of a product of values in the classes a and b."""
-    return _times(a[0], b[0]), sorted(set(a[1]).symmetric_difference(b[1]))
+    s = _times(a[0], b[0])
+    return s, sorted([p for p in a[1] + b[1] if s % p == 0])
 
 
 class _Classed:

@@ -13,18 +13,21 @@ The system is built once: columns -1 and the starting primes (2 and the
 entries' primes), ascending, and one row, a column bitmask and an rhs bit,
 per discriminant D and place, the real one and each odd starting prime. The
 real row is read off signs: (D, c) = -1 only for c = -1 when D < 0, and the
-rhs only when both entries are negative. At an odd p, (u, p)_p = (u/p) for
-a p-unit u and two p-units give +1: a narrow row (p not dividing D) reads
-only column p, as (D/p), and its rhs only when p divides the entries; a wide
-row (p | D) reads (c/p) at each p-unit column c, computed once for both D,
-and (-(D/p)/p) at column p. An appended prime q adds (q/p) at each wide row,
-and its own row is (D, q)_q = (D/q) with rhs 0; if that is -1 for either D,
-q's exponent is forced to 0, so q is skipped without a solve and not counted
-toward the prime-append cap. No row at 2: by reciprocity each column's and
-the rhs symbols multiply to +1 over the real place, 2, the starting primes
-and the counted q, which hold every -1, so each form's row at 2 is the sum of
-its others. Columns stay ascending and `solve_gf2` returns the unique reduced
-echelon form's solution, so it picks the d a system rebuilt every round would.
+rhs only when both entries are negative. At an odd p every symbol is one
+Legendre symbol, and no Place is built: (u, p)_p = (u/p) for a p-unit u and
+two p-units give +1. A narrow row (p not dividing D) reads only column p, as
+(D/p); a wide row (p | D) reads (c/p) at each p-unit column c, computed once
+for both D, (-1/p) and (2/p) off p mod 8, and (-(D/p)/p) at column p. The
+rhs (b0, b1)_p is read only when p divides an entry: (b1/p) or (b0/p) when
+it divides one, (-u*w/p) for b0 = p*u, b1 = p*w. An appended prime q adds
+(q/p) at each wide row, and its own row is (D, q)_q = (D/q) with rhs 0; if
+that is -1 for either D, q's exponent is forced to 0, so q is skipped
+without a solve and not counted toward the prime-append cap. No row at 2: by
+reciprocity each column's and the rhs symbols multiply to +1 over the real
+place, 2, the starting primes and the counted q, which hold every -1, so
+each form's row at 2 is the sum of its others. Columns stay ascending and
+`solve_gf2` returns the unique reduced echelon form's solution, so it picks
+the d a system rebuilt every round would.
 """
 
 from __future__ import annotations
@@ -36,9 +39,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .forms import DiagonalForm, _isotropic, _solve_conic
-from .hilbert import _symbol_squarefree
 from .legendre import _legendre
-from .places import Place, iter_primes
+from .places import iter_primes
 from .rationals import _Class, _Classed, _expect, _times, _Value, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
@@ -89,30 +91,30 @@ def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:
     """One solution of the system (free variables set to 0), or None.
 
     Row by row: each row, augmented with its rhs bit, is reduced by the pivot
-    rows so far; a row left with only its rhs bit makes the system
-    inconsistent, and any other becomes the pivot row of its lowest set bit,
-    which is cleared from the others. That is the unique reduced row echelon
-    form, pivots in ascending columns, so the solution is Gauss-Jordan's.
+    rows whose pivot bits it holds, lowest first; a row left with only its rhs
+    bit makes the system inconsistent, and any other becomes the pivot row of
+    its lowest set bit. Back substitution from the highest pivot then gives
+    the solution with free variables 0, which is Gauss-Jordan's.
     """
     _expect(system, GF2System)
     n = system.ncols
-    pivots: dict[int, int] = {}  # pivot bit -> its reduced augmented row
+    pivots: dict[int, int] = {}  # pivot bit -> its augmented row, no set bit below it
+    held = 0  # the pivot bits
     for mask, bit in zip(system.rows, system.rhs):
         row = mask | bit << n
-        for low, pivot in pivots.items():
-            if row & low:
-                row ^= pivot
+        while hits := row & held:  # a pivot row clears its bit and sets only higher ones
+            row ^= pivots[hits & -hits]
         low = row & -row
         if low >> n:
             return None
         if low:
-            for other, pivot in pivots.items():
-                if pivot & low:
-                    pivots[other] = pivot ^ row
-            pivots[low] = row
-    out = [0] * n
-    for low, row in pivots.items():
-        out[low.bit_length() - 1] = row >> n
+            pivots[low], held = row, held | low
+    out, value = [0] * n, 0  # value: the pivot bits whose variable is 1
+    for low in sorted(pivots, reverse=True):
+        row = pivots[low]
+        if (row >> n ^ (row & value).bit_count()) & 1:
+            value |= low
+            out[low.bit_length() - 1] = 1
     return tuple(out)
 
 
@@ -167,7 +169,8 @@ def _search_common_value(xi: Sequence[_Class], zeta: Sequence[_Class]) -> list[i
     (sx0, sx1), (sz0, sz1) = ((b0[0], b1[0]) for b0, b1 in (xi, zeta))
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
     # At each p dividing either D, the mask of the columns c != p with (c/p) = -1.
-    wide = {p: sum(1 << k for k, c in enumerate(columns) if c != p and _legendre(c, p) == -1)
+    wide = {p: (p % 4 == 3) | (p % 8 in (3, 5)) << 1
+            | sum(1 << k for k, c in enumerate(columns[2:], 2) if c != p and _legendre(c, p) == -1)
             for p in columns[2:] if sx % p == 0 or sz % p == 0}
     # One row per D and place, the real one first: its mask, rhs bit, and p at a
     # wide row, where appended primes enter, else None. Column k is bit k.
@@ -176,7 +179,8 @@ def _search_common_value(xi: Sequence[_Class], zeta: Sequence[_Class]) -> list[i
         rows.append((int(disc < 0), int(b0 < 0 and b1 < 0), None))
         for k, p in enumerate(columns[2:], 2):
             wp = p if disc % p == 0 else None
-            minus = b0 * b1 % p == 0 and _symbol_squarefree(b0, b1, Place._unchecked(p)) == -1
+            unit = b1 if b1 % p else b0 if b0 % p else -(b0 // p) * (b1 // p)
+            minus = b0 * b1 % p == 0 and _legendre(unit, p) == -1
             own = _legendre(disc if wp is None else -(disc // p), p) == -1
             rows.append((wide.get(wp, 0) | own << k, int(minus), wp))
     (masks, rhs, at), appended = zip(*rows), (q for q in iter_primes() if q not in columns)

@@ -293,3 +293,38 @@ def solve_gf2_columns(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> Op
     for col, i in pivot_row.items():
         out[col] = rows[i] >> n & 1
     return tuple(out)
+
+
+# Tonelli-Shanks as `legendre._sqrt_mod_prime` was before it decided a
+# residue by the exponentiation that also gives the root; that one must
+# return the same root.
+
+def sqrt_mod_prime(n: int, p: int) -> Optional[int]:
+    """A square root of n modulo the prime p, or None: Euler's criterion
+    first, then n^((p+1)/4) for p = 3 mod 4, else Tonelli-Shanks."""
+    n %= p
+    if p == 2 or n == 0:
+        return n
+    if pow(n, (p - 1) // 2, p) == p - 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return r

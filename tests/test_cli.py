@@ -239,6 +239,19 @@ class TestInvalidInput:
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--xi", "1,1", "--zeta", "0,1"), "error: --zeta: entries must be nonzero\n"),
+            (("--xi", "1,0", "--zeta", "1,1"), "error: --xi: entries must be nonzero\n"),
+            (("--form", "1,0,2"), "error: --form: entries must be nonzero\n"),
+        ],
+    )
+    def test_zero_entry_names_its_flag(self, argv, message, capsys):
+        command = "isotropic" if argv[0] == "--form" else "common-value"
+        assert run([command, *argv]) == (2, "")
+        assert capsys.readouterr().err == message
+
 
 class TestInternalError:
     def test_exit_three_and_stderr_line(self, monkeypatch, capsys):

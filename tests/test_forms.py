@@ -1,5 +1,6 @@
 """Diagonal forms: isotropy against brute-force search, exact conic solutions."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,7 @@ from quatsqrt.places import REAL, Place, is_local_square, support_places
 from quatsqrt.rationals import _square_class, is_square
 
 import oracles
-from oracles import diagonal_zero_search, ternary_zero_search
+from oracles import diagonal_zero_search, ternary_zero_search, trial_division
 
 nonzero_rationals = st.fractions(
     min_value=-60, max_value=60, max_denominator=20
@@ -123,7 +124,7 @@ def textbook_isotropic_local(form, v):
     symbols, computed from the entries as given."""
     if v.is_real:
         return any(x < 0 for x in form) and any(x > 0 for x in form)
-    n, det = form.dim, form.determinant()
+    n, det = form.dim, math.prod(form.entries)
     if n == 2:
         return is_local_square(-det, v)
     if n == 3:
@@ -136,6 +137,11 @@ def textbook_isotropic_local(form, v):
     return True
 
 
+PRIMES_TO_2000 = [p for p in range(2, 2000) if trial_division(p) == {p: 1}]
+# p - 1 = 7*2^20, 5*2^25, 119*2^23: Tonelli-Shanks runs up to 25 lifting steps.
+TONELLI_HEAVY = (7340033, 167772161, 998244353)
+
+
 class TestSqrtModPrime:
     @given(st.sampled_from((3, 5, 7, 11, 13, 10007)), st.integers(0, 10**6))
     @settings(max_examples=100)
@@ -145,6 +151,24 @@ class TestSqrtModPrime:
             assert pow(n, (p - 1) // 2, p) == p - 1  # genuinely a non-residue
         else:
             assert r * r % p == n % p
+
+    def test_same_root_as_the_euler_first_kernel_below_2000(self):
+        for p in PRIMES_TO_2000:
+            assert [_sqrt_mod_prime(n, p) for n in range(p)] == [
+                oracles.sqrt_mod_prime(n, p) for n in range(p)], p
+
+    @pytest.mark.parametrize("p", TONELLI_HEAVY)
+    def test_same_root_as_the_euler_first_kernel_on_tonelli_heavy_primes(self, p):
+        rng = random.Random(p)
+        for n in [rng.randrange(-p, 2 * p) for _ in range(1500)] + [0, 1, p - 1]:
+            assert _sqrt_mod_prime(n, p) == oracles.sqrt_mod_prime(n, p), n
+
+    @pytest.mark.parametrize("p", PRIMES_TO_2000[1::20] + list(TONELLI_HEAVY))
+    def test_none_exactly_at_non_residues(self, p):
+        rng = random.Random(p)
+        for n in range(1, min(p, 400)) if p < 2000 else (rng.randrange(1, p) for _ in range(400)):
+            euler = pow(n, (p - 1) // 2, p)
+            assert (_sqrt_mod_prime(n, p) is None) == (euler == p - 1), n
 
 
 class TestSolveConic:
@@ -548,3 +572,36 @@ class TestRepresents:
         else:
             # <x0, x1, -d> must then be anisotropic
             assert not is_isotropic(DiagonalForm((x0, x1, -d)))
+
+
+def seeded_conics(count=1500, seed=2407):
+    """(alpha, c) drawn as the benchmark's conic stream draws them: squarefree
+    |alpha| <= 10^6, alpha != 1; three in four with a planted solution of height
+    <= 1000, the fourth with c of numerator <= 10^6 and denominator <= 10^3."""
+    rng = random.Random(seed)
+    for k in range(count):
+        alpha = 1
+        while alpha == 1:
+            n = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+            alpha = (1 if n > 0 else -1) * math.prod(
+                p for p, e in trial_division(abs(n)).items() if e % 2)
+        if k % 4 == 3:
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 1000))
+        else:
+            c = 0
+            while c == 0:
+                x, y = (Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000)) for _ in range(2))
+                c = x * x - alpha * y * y
+        yield Fraction(alpha), c
+
+
+def test_conic_answers_are_pinned_by_digest():
+    # The sha256 of repr(solve_conic(alpha, c)), one line per pair: a moved
+    # solution, or a solvable conic answered None, changes it.
+    h, solved = hashlib.sha256(), 0
+    for alpha, c in seeded_conics():
+        sol = solve_conic(alpha, c)
+        solved += sol is not None
+        h.update(repr(sol).encode() + b"\n")
+    assert solved > 1125  # every planted conic, and some random ones
+    assert h.hexdigest() == "6a62014d2033980eddabe517816f2b99641bf669d82c19e621eb590945d0b012"

@@ -68,6 +68,13 @@ TRACED_METHODS = [
     ("quaternions", "QuaternionAlgebra", "is_split"),
     ("quaternions", "Quaternion", "square"),
 ]
+# Methods no package path called, deleted; README "Migrating from
+# `determinant`, `conj` and `is_pure`" gives their replacements.
+REMOVED_METHODS = [
+    ("forms", "DiagonalForm", "determinant"),
+    ("quaternions", "Quaternion", "conj"),
+    ("quaternions", "Quaternion", "is_pure"),
+]
 
 
 def test_all_is_pinned():
@@ -85,3 +92,8 @@ def test_traced_function_is_bound_on_its_module(module, name):
 def test_traced_method_is_defined_on_its_class(module, cls, method):
     owner = getattr(importlib.import_module(f"quatsqrt.{module}"), cls)
     assert callable(owner.__dict__[method])
+
+
+@pytest.mark.parametrize("module, cls, method", REMOVED_METHODS)
+def test_removed_method_is_gone(module, cls, method):
+    assert not hasattr(getattr(importlib.import_module(f"quatsqrt.{module}"), cls), method)

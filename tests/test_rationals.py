@@ -1,6 +1,7 @@
 """Exact arithmetic: parsing, factorization, squarefree parts, square roots."""
 
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -252,6 +253,69 @@ class TestFactorSmallPrimes:
                 "print(quatsqrt.rationals._small_primes.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (out.returncode, out.stdout) == (0, "0\n")
+
+
+# The blocks of 32 primes from 47 on that one gcd against their running product reads.
+BLOCKS = [[47, *PRIMES_47_TO_10K][i:i + 32] for i in range(0, len(PRIMES_47_TO_10K) + 1, 32)]
+
+
+def _random_prime(rng, low, high):
+    while True:
+        p = rng.randrange(low, high)
+        if trial_division(p) == {p: 1}:
+            return p
+
+
+class TestFactorGcdSizedToTheInput:
+    """Below 10^8 the gcd reads the primes up to the block holding sqrt(n):
+    the factorizations at the blocks' edges and around 10^8 match trial division."""
+
+    def test_every_n_below_two_hundred_thousand(self):
+        limit = 2 * 10**5
+        spf = list(range(limit))  # smallest prime factor, by a sieve
+        for p in range(2, math.isqrt(limit) + 1):
+            if spf[p] == p:
+                for m in range(p * p, limit, p):
+                    if spf[m] == m:
+                        spf[m] = p
+        for n in range(1, limit):
+            expected, m = {}, n
+            while m > 1:
+                expected[spf[m]] = expected.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert rationals._factor_int(n) == expected, n
+
+    def test_block_edges(self):
+        # p, the last prime of a block, and q, the first of the next (10007 past the last).
+        firsts = [block[0] for block in BLOCKS[1:]] + [10007]
+        for p, q in zip((block[-1] for block in BLOCKS), firsts):
+            for n, expected in ((p * p, {p: 2}), (p * q, {p: 1, q: 1}), (q * q, {q: 2}),
+                                (p * q - 2, None), (p * p * q, {p: 2, q: 1})):
+                assert rationals._factor_int(n) == (expected or trial_division(n)), n
+
+    def test_from_9973_squared_to_ten_to_the_eight(self):
+        rng, low = random.Random(9973), 9973**2
+        ns = [*range(low, low + 300), *range(10**8 - 300, 10**8),
+              *(rng.randrange(low, 10**8) for _ in range(300))]
+        for n in ns:
+            assert rationals._factor_int(n) == trial_division(n), n
+
+    def test_semiprimes_from_ten_to_the_eight_to_ten_to_the_eighteen(self):
+        rng = random.Random(10**8)
+        for _ in range(40):
+            p, q = (_random_prime(rng, 10**4, 10**9) for _ in range(2))
+            assert 10**8 <= p * q <= 10**18
+            assert rationals._factor_int(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+
+    @pytest.mark.parametrize("d", [1, 2, 9, 1001, 9973**2, 99990001])
+    def test_factor_of_fractions(self, d):
+        rng = random.Random(d)
+        for _ in range(200):
+            n = rng.choice((-1, 1)) * rng.randrange(1, 10**9)
+            q = Fraction(n, d)
+            exps = trial_division(abs(q.numerator))
+            exps.update((p, -e) for p, e in trial_division(q.denominator).items())
+            assert factor(q) == Factorization(1 if n > 0 else -1, tuple(sorted(exps.items())))
 
 
 class TestClassed:
