@@ -7,7 +7,7 @@ an exact solution is read off a single lattice reduction of that form
 
 Each value comes with its square class (s, primes of s), s squarefree and
 value = s*t^2, so every local test and Legendre form knows its primes. The
-one conic kernel, `_conic`, works on integer pairs: `sqrt` calls it directly.
+one conic kernel, `_conic`, works on integer pairs, for every non-square alpha.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 from .hilbert import _hasse, _symbol_squarefree
 from .legendre import _legendre_zero
 from .places import Place, _local_classes, _local_square, _places_over
-from .rationals import (RationalLike, _Class, _Classed, _expect, _sqrt_ratio, _times, _Value,
+from .rationals import (RationalLike, _Class, _expect, _sqrt_ratio, _square_class, _times, _Value,
                         as_fraction, is_square)
 
 Vector = tuple[Fraction, ...]
@@ -71,10 +71,10 @@ def _isotropic_at(reps: Sequence[int], v: Place) -> bool:
     return not (_local_square(det, v) and hasse == -_symbol_squarefree(-1, -1, v))
 
 
-def _isotropic(entries: Sequence[_Classed]) -> bool:
+def _isotropic(classes: Sequence[_Class]) -> bool:
     """Hasse-Minkowski on the entries' square classes, dimension >= 3."""
-    reps = [x.cls[0] for x in entries]
-    return all(_isotropic_at(reps, v) for v in _places_over(p for x in entries for p in x.cls[1]))
+    reps = [s for s, _ in classes]
+    return all(_isotropic_at(reps, v) for v in _places_over(p for _, ps in classes for p in ps))
 
 
 def is_isotropic_local(form: DiagonalForm, v: Place) -> bool:
@@ -96,7 +96,7 @@ def is_isotropic(form: DiagonalForm) -> bool:
         return False
     if n == 2:
         return is_square(-form.entries[0] * form.entries[1]) is not None
-    return _isotropic([_Classed(x) for x in form])
+    return _isotropic([_square_class(x) for x in form])
 
 
 def _conic(alpha: tuple[int, int], ca: _Class, c: tuple[int, int],
@@ -126,19 +126,6 @@ def _conic(alpha: tuple[int, int], ca: _Class, c: tuple[int, int],
     return xn, xd, yn, yd
 
 
-def _solve_conic(alpha: _Classed, c: _Classed) -> Optional[tuple[Fraction, Fraction]]:
-    """solve_conic on nonzero classed values: `_conic`, or, for a square alpha,
-    which reads no class, the pair of lines solved directly."""
-    root = is_square(alpha.q)
-    if root is not None:
-        x, y = abs((c.q + 1) / 2), abs((c.q - 1) / (2 * root))
-        if x * x - alpha.q * y * y != c.q:
-            raise RuntimeError("conic solution failed its exact check")
-        return x, y
-    sol = _conic(alpha.q.as_integer_ratio(), alpha.cls, c.q.as_integer_ratio(), c.cls)
-    return None if sol is None else (Fraction(sol[0], sol[1]), Fraction(sol[2], sol[3]))
-
-
 def solve_conic(
     alpha: RationalLike, c: RationalLike
 ) -> Optional[tuple[Fraction, Fraction]]:
@@ -152,10 +139,18 @@ def solve_conic(
     Legendre form (see `legendre._legendre_zero`). The solution has x >= 0
     and y >= 0, and leaves through one exact check of the equation.
     """
-    alpha, c = _Classed(alpha), _Classed(c)
-    if alpha.q == 0 or c.q == 0:
+    alpha, c = as_fraction(alpha), as_fraction(c)
+    if alpha == 0 or c == 0:
         raise ValueError("conic parameters must be nonzero")
-    return _solve_conic(alpha, c)
+    root = is_square(alpha)
+    if root is not None:
+        x, y = abs((c + 1) / 2), abs((c - 1) / (2 * root))
+        if x * x - alpha * y * y != c:
+            raise RuntimeError("conic solution failed its exact check")
+        return x, y
+    sol = _conic(alpha.as_integer_ratio(), _square_class(alpha), c.as_integer_ratio(),
+                 _square_class(c))
+    return None if sol is None else (Fraction(sol[0], sol[1]), Fraction(sol[2], sol[3]))
 
 
 def isotropic_vector(form: DiagonalForm) -> Optional[Vector]:

@@ -19,8 +19,8 @@ from .forms import DiagonalForm, _conic, _isotropic_at
 from .hilbert import _obstructions
 from .places import Place, _local_square
 from .rationals import (RationalLike, _Class, _class_times, _expect, _sqrt_ratio, _square_class,
-                        _Value, as_fraction, is_square)
-from .sqclasses import _search_common_value
+                        _Value, as_fraction)
+from .sqclasses import _certificate, _search_common_value
 
 _ZERO = Fraction(0)
 
@@ -86,33 +86,27 @@ class QuaternionAlgebra(_Value):
         return places
 
     @cached_property
-    def _pure_isotropic_vector(self) -> tuple[Fraction, Fraction, Fraction]:
-        """An isotropic vector of the pure norm form; only exists when split. Cached
-        per algebra: recomputation is idempotent, so a race at worst repeats work."""
-        c = is_square(self.alpha)
-        if c is not None:
-            # (0, c, 1) vanishes: -beta*c^2 + alpha*beta = beta*(alpha - c^2) = 0.
-            vec = (Fraction(0), c, Fraction(1))
+    def _pure_ints(self) -> tuple[int, tuple[int, int, int], tuple[int, int, int], int]:
+        """(F, E, N, i) for split roots: F = den(alpha)*den(beta), E = F * the pure norm
+        form's entries, N its primitive isotropic vector, checked on integers, i the first
+        k with N_k != 0. Split algebras only; a race at worst repeats the work."""
+        an, ad, bn, bd = self._ints
+        if (r := _sqrt_ratio(an, ad)) is not None:
+            # alpha = (r/ad)^2, and (0, r/ad, 1) vanishes: -beta*alpha + alpha*beta = 0.
+            N = (0, r, ad)
         else:
-            # x^2 - alpha*y^2 = -alpha/beta, the sign of c on its numerator.
-            (an, ad, bn, bd), (A, _, (s, primes)) = self._ints, self._classes
+            # (1, x, y) with x^2 - alpha*y^2 = -alpha/beta, the sign of c on its numerator.
+            A, _, (s, primes) = self._classes
             sol = _conic((an, ad), A, (-an * bd if bn > 0 else an * bd, ad * abs(bn)), (-s, primes))
             if sol is None:
                 raise RuntimeError("split algebra is missing an isotropic vector")
-            vec = (Fraction(1), Fraction(sol[0], sol[1]), Fraction(sol[2], sol[3]))
-        if self.pure_norm_form()(vec) != 0:
+            xn, xd, yn, yd = sol
+            N = (xd * yd, xn * yd, yn * xd)
+        g, E = math.gcd(*N), (-an * bd, -bn * ad, an * bn)
+        N = (N[0] // g, N[1] // g, N[2] // g)
+        if E[0] * N[0] ** 2 + E[1] * N[1] ** 2 + E[2] * N[2] ** 2 != 0:
             raise RuntimeError("isotropic vector construction failed")
-        return vec
-
-    @cached_property
-    def _pure_ints(self) -> tuple[int, tuple[int, int, int], tuple[int, int, int], int]:
-        """(F, E, N, i) for split roots: F = den(alpha)*den(beta), E = F * the pure norm
-        form's entries, N/M = the isotropic vector, i the first k with N_k != 0."""
-        an, ad, bn, bd = self._ints
-        vec = self._pure_isotropic_vector
-        M = math.lcm(*[x.denominator for x in vec])
-        N = tuple([x.numerator * (M // x.denominator) for x in vec])
-        return ad * bd, (-an * bd, -bn * ad, an * bn), N, next(k for k, n in enumerate(N) if n)
+        return ad * bd, E, N, next(k for k, n in enumerate(N) if n)
 
 
 class Quaternion(_Value):
@@ -300,11 +294,8 @@ def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quate
         E, s = (math.prod(factors), [p for p in factors if p > 0]), 1 if n > 0 else -1
         # On (num, den > 0) pairs, signs on the numerators, for e = E[0]:
         # m0^2 - (alpha/a)*v^2 = e/a and l0^2 - alpha*l1^2 = e/beta.
-        cm = _conic((s * an * d, ad * abs(n)), _class_times(C, A), (s * E[0] * d, abs(n)),
-                    _class_times(C, E))
-        cl = _conic((an, ad), A, (E[0] * bd if bn > 0 else -E[0] * bd, abs(bn)), _class_times(B, E))
-        if cm is None or cl is None:
-            raise RuntimeError("common value failed its representation certificates")
+        cm = _certificate((n, d), C, (s * an * d, ad * abs(n)), _class_times(C, A), E)
+        cl = _certificate((bn, bd), B, (an, ad), A, E)
         # m0 = 0 would make (v, l0, l1) a zero of the anisotropic pure norm form.
         # (+-v*i + l0*j + l1*k)/m0, v's sign a's, over num(m0)*den(v)*den(l0)*den(l1).
         (xn1, xd1, yn1, yd1), (xn2, xd2, yn2, yd2) = cm, cl

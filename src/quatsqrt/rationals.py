@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -201,9 +201,9 @@ def _factor_int(n: int) -> dict[int, int]:
     The primes to 43 are divided out, as `is_prime` would find them first.
     One gcd with the product of the primes from 47 to the end of the 32-prime
     block that holds sqrt(n) (to 10^4 for n >= 10^8) finds those that divide
-    the cofactor; only the blocks holding them are divided through. A cofactor
-    below 10^8 is then 1 or prime, as is every part below 10^8 that
-    `_pollard_rho` splits off; a larger one is proven prime or split again.
+    the cofactor; only the blocks holding them are divided through, none past
+    the last. A cofactor below 10^8 is then 1 or prime, as is every part below
+    10^8 that `_pollard_rho` splits off; a larger one is proven prime or split again.
     """
     out: dict[int, int] = {}
     for p in _MR_BASES:
@@ -215,7 +215,9 @@ def _factor_int(n: int) -> dict[int, int]:
         blocks = blocks[:bisect.bisect_left(lasts, math.isqrt(n)) + 1]
         g = math.gcd(n, blocks[-1][2])
         for block_product, block, _ in blocks:
-            if g > 1 and (h := math.gcd(g, block_product)) > 1:
+            if g == 1:
+                break
+            if (h := math.gcd(g, block_product)) > 1:
                 g //= h
                 for p in block:
                     while n % p == 0:
@@ -342,38 +344,6 @@ def _class_times(a: _Class, b: _Class) -> _Class:
     """The square class of a product of values in the classes a and b."""
     s = _times(a[0], b[0])
     return s, sorted([p for p in a[1] + b[1] if s % p == 0])
-
-
-class _Classed:
-    """A nonzero rational q with its square class `cls`, (s, primes of s).
-
-    An input's class is read by one `_square_class` call, the first time it is
-    asked for. -x and x/y derive theirs from their operands' classes (a
-    divisor's first), so a value built from inputs is never factored.
-    """
-
-    def __init__(self, q: RationalLike, derive: Optional[Callable[[], _Class]] = None):
-        self.q = as_fraction(q)
-        self._derive = derive or (lambda: _square_class(self.q))
-        self._cls: Optional[_Class] = None
-
-    @classmethod
-    def _squarefree(cls, factors: Sequence[int]) -> "_Classed":
-        """The product of distinct factors from -1 and the primes: its own class."""
-        s = math.prod(factors)
-        return cls(s, lambda: (s, [p for p in factors if p > 0]))
-
-    @property
-    def cls(self) -> _Class:
-        if self._cls is None:
-            self._cls = self._derive()
-        return self._cls
-
-    def __neg__(self) -> "_Classed":
-        return _Classed(-self.q, lambda: (-self.cls[0], self.cls[1]))
-
-    def __truediv__(self, other: "_Classed") -> "_Classed":
-        return _Classed(self.q / other.q, lambda: _class_times(other.cls, self.cls))
 
 
 def squarefree_part(q: RationalLike) -> tuple[int, Fraction]:

@@ -4,10 +4,12 @@ common_value finds one rational represented by both of two binary forms, or
 proves the intersection empty. Candidates are confined to square classes
 supported on a finite prime set; representability at each relevant place is
 a linear condition over GF(2), and primes are appended until the system is
-solvable. _common_value also returns the certificates (d, represents(xi, d),
-represents(zeta, d)). Its search, _search_common_value, takes the square
-classes (s, primes of s) of two anisotropic forms' entries whose values meet
-and returns d's factors, so `sqrt` solves d's certificate conics on integers.
+solvable. _common_value takes the forms' Fraction entries and returns d with
+a certificate (u, v), b0*u^2 + b1*v^2 = d, for each form <b0, b1>. If one form
+is isotropic, d is the other's first entry, certified there by (1, 0), and
+nothing is factored. Otherwise the search, _search_common_value, takes the
+entries' classes (s, primes of s) and returns d's factors, and `_certificate`
+solves each certificate conic on integers, for `sqrt` too.
 
 The system is built once: columns -1 and the starting primes (2 and the
 entries' primes), ascending, and one row, a column bitmask and an rhs bit,
@@ -34,16 +36,19 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from typing import Optional
 
-from .forms import DiagonalForm, _isotropic, _solve_conic
+from .forms import DiagonalForm, _conic, _isotropic, solve_conic
 from .legendre import _legendre
 from .places import iter_primes
-from .rationals import _Class, _Classed, _expect, _times, _Value, is_prime, is_square
+from .rationals import (_Class, _class_times, _expect, _square_class, _times, _Value, is_prime,
+                        is_square)
 
 _PRIME_APPEND_CAP = 64
+_Pair = tuple[Fraction, Fraction]
 
 
 def singular_basis(primes: Iterable[int]) -> tuple[int, ...]:
@@ -118,46 +123,59 @@ def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
-_Certified = tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-
-def _certified(xi: Sequence[_Classed], zeta: Sequence[_Classed], d: _Classed) -> _Certified:
-    """d with its certificates: <b0, b1> represents d by (u, v) with
-    u^2 - (-b1/b0)*v^2 = d/b0, the conic solved."""
-    reps = [_solve_conic(-b1 / b0, d / b0) for b0, b1 in (xi, zeta)]
-    if None in reps:
+def _certificate(b0: tuple[int, int], cb: _Class, r: tuple[int, int], cr: _Class,
+                 e: _Class) -> tuple[int, int, int, int]:
+    """`_conic`'s (xn, xd, yn, yd) for u^2 - r*v^2 = e/b0: the certificate
+    b0*u^2 + b1*v^2 = e of a form <b0, b1> with r = -b1/b0 not a square. b0
+    and r come as (num, den > 0) pairs with their classes, and the common
+    value e, a squarefree integer, as its own class (e, primes of e)."""
+    (n, d), s = b0, e[0]
+    sol = _conic(r, cr, (s * d if n > 0 else -s * d, abs(n)), _class_times(cb, e))
+    if sol is None:
         raise RuntimeError("common value failed its representation certificates")
-    return d.q, reps[0], reps[1]
+    return sol
 
 
 def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
     """A nonzero rational represented by both binary forms, or None.
 
-    Isotropic inputs are universal, so the other form's first entry works.
-    Otherwise the 4-dimensional difference form must be isotropic for the
-    intersection to be nonempty; a candidate square class is then solved for
-    over GF(2), appending primes (ascending, deterministically) until the
-    local conditions admit a solution. The result is re-verified against both
-    forms before being returned.
+    Isotropic inputs are universal, so the other form's first entry works,
+    certified there by (1, 0), and nothing is factored. Otherwise the
+    4-dimensional difference form must be isotropic for the intersection to
+    be nonempty; a candidate square class is then solved for over GF(2),
+    appending primes (ascending, deterministically) until the local
+    conditions admit a solution. d is returned only once each form's
+    certificate (u, v) with b0*u^2 + b1*v^2 = d is solved and exactly checked.
     """
     _expect(xi, DiagonalForm)
     _expect(zeta, DiagonalForm)
     if xi.dim != 2 or zeta.dim != 2:
         raise ValueError("common_value expects binary forms")
-    found = _common_value(*([_Classed(x) for x in form] for form in (xi, zeta)))
+    found = _common_value(xi.entries, zeta.entries)
     return None if found is None else found[0]
 
 
-def _common_value(xi: Sequence[_Classed], zeta: Sequence[_Classed]) -> Optional[_Certified]:
+def _common_value(xi: Sequence[Fraction],
+                  zeta: Sequence[Fraction]) -> Optional[tuple[Fraction, _Pair, _Pair]]:
+    """(d, (u, v) for xi, (u, v) for zeta) with b0*u^2 + b1*v^2 = d for each
+    form's entries (b0, b1), or None when no common value exists."""
     # An isotropic form is universal, so the other's first entry is a common
-    # value. Its certificate conic is a pair of lines, which reads no class.
-    for form, other in ((xi, zeta), (zeta, xi)):
-        if is_square(-form[0].q * form[1].q) is not None:
-            return _certified(xi, zeta, other[0])
-    if not _isotropic([*xi, -zeta[0], -zeta[1]]):
+    # value: (1, 0) there, and a pair of lines here, which reads no class.
+    (x0, x1), (z0, z1) = xi, zeta
+    if is_square(-x0 * x1) is not None:
+        return z0, solve_conic(-x1 / x0, z0 / x0), (Fraction(1), Fraction(0))
+    if is_square(-z0 * z1) is not None:
+        return x0, (Fraction(1), Fraction(0)), solve_conic(-z1 / z0, x0 / z0)
+    classes = [[_square_class(x) for x in form] for form in (xi, zeta)]
+    if not _isotropic([*classes[0], *[(-s, primes) for s, primes in classes[1]]]):
         return None
-    factors = _search_common_value(*([x.cls for x in form] for form in (xi, zeta)))
-    return _certified(xi, zeta, _Classed._squarefree(factors))
+    factors = _search_common_value(*classes)
+    e = (math.prod(factors), [p for p in factors if p > 0])
+    # <b0, b1> is read as u^2 - r*v^2 = e/b0, r = -b1/b0 in the class of -b0*b1.
+    certs = [_certificate(b0.as_integer_ratio(), c0, (-b1 / b0).as_integer_ratio(),
+                          _class_times(c0, (-s1, p1)), e)
+             for (b0, b1), (c0, (s1, p1)) in zip((xi, zeta), classes)]
+    return Fraction(e[0]), *[(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in certs]
 
 
 def _search_common_value(xi: Sequence[_Class], zeta: Sequence[_Class]) -> list[int]:

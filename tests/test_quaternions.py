@@ -23,7 +23,7 @@ from quatsqrt.forms import (
 from quatsqrt.hilbert import hasse_invariant, hilbert_symbol
 from quatsqrt.places import REAL, Place, is_local_square, support_places
 from quatsqrt.quaternions import Quaternion, QuaternionAlgebra, sqrt
-from quatsqrt.rationals import _Classed, Factorization, is_square
+from quatsqrt.rationals import Factorization, is_square
 from quatsqrt.sqclasses import GF2System, _common_value, common_value, singular_basis, solve_gf2
 
 import oracles
@@ -108,7 +108,7 @@ class TestAlgebra:
         A = QuaternionAlgebra(Fraction(alpha), Fraction(beta))
         assert A.is_split() == is_isotropic(A.pure_norm_form())
         if A.is_split():
-            assert A.pure_norm_form()(A._pure_isotropic_vector) == 0
+            assert A.pure_norm_form()(A._pure_ints[2]) == 0
         else:
             v = A._ramified[0]
             if v.is_real:
@@ -118,7 +118,7 @@ class TestAlgebra:
 
     def test_isotropic_vector_is_cached(self):
         A = QuaternionAlgebra(Fraction(1), Fraction(1))
-        assert A._pure_isotropic_vector is A._pure_isotropic_vector
+        assert A._pure_ints[2] is A._pure_ints[2]
 
     def test_is_split_is_cached(self, monkeypatch):
         # sqrt and the central routine's guard both ask; the obstruction places
@@ -501,7 +501,7 @@ class TestSqrtCentralSplit:
     def test_norm_form_not_evaluated_once_the_vector_is_cached(self, square_calls, monkeypatch):
         # The cached vector was checked when built; the re-squaring checks the root.
         A = QuaternionAlgebra(Fraction(3), Fraction(-2))
-        A._pure_isotropic_vector
+        A._pure_ints[2]
         calls = []
         evaluate = DiagonalForm.__call__
 
@@ -523,7 +523,7 @@ class TestSqrtCentralSplit:
         r = sqrt(A.scalar(a))
         c = is_square(a)
         if c is None:
-            expected = oracles.split_central_root(alpha, beta, A._pure_isotropic_vector, a)
+            expected = oracles.split_central_root(alpha, beta, A._pure_ints[2], a)
         else:
             expected = (c, 0, 0, 0)
         assert r.coords == expected
@@ -616,7 +616,7 @@ class TestSqrtCentralNonsplit:
         A, a = r.algebra, r.square().q0
         assume(a != 0 and all(is_square(a * x) is None for x in (1, A.alpha, A.beta)))
         forms = ((a, -A.alpha), (A.beta, -A.alpha * A.beta))
-        found = _common_value(*([_Classed(x) for x in form] for form in forms))
+        found = _common_value(*forms)
         assert found is not None
         _, (m0, _), _ = found
         assert m0 != 0
@@ -630,7 +630,7 @@ class TestSqrtCentralNonsplit:
             if a == 0 or any(is_square(a * x) is not None for x in (1, A.alpha, A.beta)):
                 continue
             forms = ((a, -A.alpha), (A.beta, -A.alpha * A.beta))
-            _, (m0, v), (l0, l1) = _common_value(*([_Classed(x) for x in form] for form in forms))
+            _, (m0, v), (l0, l1) = _common_value(*forms)
             assert sqrt(A.scalar(a)).coords == (0, (v if a > 0 else -v) / m0, l0 / m0, l1 / m0)
             cases += 1
         assert cases >= 50
@@ -666,13 +666,13 @@ class TestSqrtCentralNonsplit:
         # The two certificates of the common value are the two norm equations,
         # each solved once by the integer conic kernel.
         calls = []
-        conic = quaternions_module._conic
+        conic = sqclasses_module._conic
 
         def counting(*args):
             calls.append(args)
             return conic(*args)
 
-        monkeypatch.setattr(quaternions_module, "_conic", counting)
+        monkeypatch.setattr(sqclasses_module, "_conic", counting)
         A = QuaternionAlgebra(Fraction(params[0]), Fraction(params[1]))
         assert sqrt(A.scalar(a)) is not None
         assert len(calls) == 2
@@ -707,7 +707,8 @@ class TestSqrtCentralNonsplit:
     def test_second_root_derives_no_class_of_the_algebra(self, params, a1, a2, monkeypatch):
         # The classes of alpha, beta and alpha*beta are cached with the algebra:
         # a second root reads a's class and derives only those of alpha/a, e/a
-        # and e/beta, building no classed value and doing no Fraction arithmetic.
+        # and e/beta, here and in the shared certificate routine, doing no
+        # Fraction arithmetic.
         A = QuaternionAlgebra(*params)
         assert sqrt(A.scalar(a1)) is not None
         read, derived, arithmetic = [], [], []
@@ -721,12 +722,9 @@ class TestSqrtCentralNonsplit:
             derived.append((x, y))
             return class_times(x, y)
 
-        def refuse(*args):
-            raise AssertionError("built a classed value")
-
         monkeypatch.setattr(quaternions_module, "_square_class", reading)
         monkeypatch.setattr(quaternions_module, "_class_times", deriving)
-        monkeypatch.setattr(rationals._Classed, "__init__", refuse)
+        monkeypatch.setattr(sqclasses_module, "_class_times", deriving)
         for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
             op = getattr(Fraction, name)
             monkeypatch.setattr(Fraction, name, lambda *x, op=op: arithmetic.append(op) or op(*x))
@@ -797,8 +795,7 @@ class TestRamifiedPlaces:
             if any(is_square(a * x) is not None for x in (1, A.alpha, A.beta)):
                 assert root is not None
                 continue
-            found = _common_value((_Classed(a), _Classed(-A.alpha)),
-                                  (_Classed(A.beta), _Classed(-A.alpha * A.beta)))
+            found = _common_value((a, -A.alpha), (A.beta, -A.alpha * A.beta))
             assert (root is None) == (found is None)
             if root is None:
                 # the "no" names a place where the algebra ramifies and a is a local square

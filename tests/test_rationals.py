@@ -14,8 +14,6 @@ import quatsqrt.rationals as rationals
 from quatsqrt.rationals import (
     _MR_PSI,
     Factorization,
-    _Classed,
-    _square_class,
     as_fraction,
     factor,
     is_prime,
@@ -316,35 +314,6 @@ class TestFactorGcdSizedToTheInput:
             exps = trial_division(abs(q.numerator))
             exps.update((p, -e) for p, e in trial_division(q.denominator).items())
             assert factor(q) == Factorization(1 if n > 0 else -1, tuple(sorted(exps.items())))
-
-
-class TestClassed:
-    @given(nonzero_rationals, nonzero_rationals)
-    @settings(deadline=None)
-    def test_derived_class_factors_only_the_operands(self, x, y):
-        # Each operand's class is read once, a divisor's first; the value
-        # built is never factored, and its class is the one read off it.
-        cases = [
-            (lambda a, b: -a, -x, [x]),
-            (lambda a, b: a / b, x / y, [y, x]),
-            (lambda a, b: -a / b, -x / y, [y, x]),
-            (lambda a, b: -(a / b) / a, -1 / y, [x, y]),
-        ]
-        for build, value, reads in cases:
-            calls = []
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(rationals, "factor", lambda q: calls.append(q) or factor(q))
-                built = build(_Classed(x), _Classed(y))
-                cls = built.cls
-                assert built.cls is cls
-            assert built.q == value
-            assert cls == _square_class(value)
-            assert calls == reads
-
-    def test_squarefree_product_is_its_own_class(self, factor_calls):
-        assert _Classed._squarefree([-1, 3, 7]).cls == (-21, [3, 7])
-        assert _Classed._squarefree([]).cls == (1, [])
-        assert factor_calls == []
 
 
 class TestSquarefreePart:

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from oracles import hilbert_oracle_finite, solve_gf2_columns
 
 import quatsqrt.sqclasses as sqclasses
-from quatsqrt.forms import DiagonalForm, _isotropic, is_isotropic, represents
+from quatsqrt.forms import DiagonalForm, is_isotropic, represents
 from quatsqrt.hilbert import _legendre, _symbol_squarefree
 from quatsqrt.places import Place, _places_over, iter_primes
-from quatsqrt.rationals import _Classed, _square_class, _times, factor, is_square
+from quatsqrt.rationals import _square_class, _times, factor, is_square
 from quatsqrt.sqclasses import (
     _PRIME_APPEND_CAP,
     GF2System,
-    _certified,
     _common_value,
     common_value,
     singular_basis,
@@ -64,23 +63,23 @@ def evaluated_symbols(monkeypatch):
 
 
 def classed(*forms):
-    """Each form's entries as the classed values `_common_value` takes."""
-    return [[_Classed(x) for x in form] for form in forms]
+    """Each form's entries as the Fractions `_common_value` takes."""
+    return [[Fraction(x) for x in form] for form in forms]
 
 
 def dense_common_value(xi, zeta, cap=400):
     """Reference search that rebuilds the whole GF(2) system every round:
     every row over every place and every column, appended primes included,
-    with every appended prime counted toward the cap."""
+    with every appended prime counted toward the cap. Certified by the public
+    `represents`, and by (1, 0) for an isotropic form's partner."""
     x0, x1 = xi.entries
     z0, z1 = zeta.entries
-    ex, ez = classed(xi, zeta)
     if is_square(-x0 * x1) is not None:
-        return _certified(ex, ez, ez[0])
+        return z0, represents(xi, z0), (1, 0)
     if is_square(-z0 * z1) is not None:
-        return _certified(ex, ez, ex[0])
+        return x0, (1, 0), represents(zeta, x0)
     (sx0, px0), (sx1, px1), (sz0, pz0), (sz1, pz1) = map(_square_class, (x0, x1, z0, z1))
-    if not _isotropic([ex[0], ex[1], -ez[0], -ez[1]]):
+    if not is_isotropic(DiagonalForm((x0, x1, -z0, -z1))):
         return None
     prime_list = sorted({2, *px0, *px1, *pz0, *pz1})
     sx, sz = _times(-sx0, sx1), _times(-sz0, sz1)
@@ -94,8 +93,8 @@ def dense_common_value(xi, zeta, cap=400):
                 rhs.append((1 - _symbol_squarefree(b0, b1, v)) // 2)
         eps = solve_gf2(GF2System(tuple(rows), tuple(rhs), len(reps)))
         if eps is not None:
-            d = math.prod(r for r, e in zip(reps, eps) if e)
-            return _certified(ex, ez, _Classed(d))
+            d = Fraction(math.prod(r for r, e in zip(reps, eps) if e))
+            return d, represents(xi, d), represents(zeta, d)
         prime_list.append(next(p for p in iter_primes() if p not in prime_list))
         prime_list.sort()
     raise RuntimeError("reference search exceeded its cap")
@@ -278,11 +277,24 @@ class TestCommonValue:
         assert common_value(DiagonalForm((3, 5)), DiagonalForm((1, -4))) == 3
 
     def test_isotropic_form_is_not_factored(self, factor_calls):
-        # Its certificate conic is a pair of lines, which needs no class.
+        # Its certificate conic is a pair of lines, and the other form's
+        # certificate for its own first entry is (1, 0): neither needs a class.
         n = 1000000000000037 * 1000000000000091
         assert common_value(DiagonalForm((n, -n)), DiagonalForm((3, 5))) == 3
         assert common_value(DiagonalForm((3, 5)), DiagonalForm((2 * n, -2 * n))) == 3
-        assert factor_calls == [3, 5, 3, 5]
+        assert factor_calls == []
+
+    @pytest.mark.parametrize("iso, other", [
+        ((1, -1), (3, 5)),
+        ((Fraction(-7, 3), Fraction(28, 3)), (Fraction(-5, 2), 11)),
+    ])
+    def test_isotropic_shortcut_certificates(self, iso, other):
+        # Both orders: d is the other form's first entry, and both certificates hold exactly.
+        for xi, zeta in ((iso, other), (other, iso)):
+            d, *certs = _common_value(*classed(xi, zeta))
+            assert d == other[0]
+            for (b0, b1), (u, v) in zip((xi, zeta), certs):
+                assert b0 * u * u + b1 * v * v == d
 
     def test_dimension_enforced(self):
         with pytest.raises(ValueError):
