@@ -8,7 +8,6 @@ integers against each of the input's coordinates.
 
 from .rationals import (
     Factorization,
-    Rational,
     as_fraction,
     factor,
     is_prime,
@@ -23,13 +22,11 @@ from .places import (
     iter_primes,
     parse_place,
     support_places,
-    valuation,
 )
 from .hilbert import hasse_invariant, hilbert_symbol
 from .forms import (
     DiagonalForm,
     is_isotropic,
-    is_isotropic_local,
     isotropic_vector,
     represents,
     solve_conic,
@@ -46,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Factorization",
-    "Rational",
     "as_fraction",
     "factor",
     "is_prime",
@@ -59,12 +55,10 @@ __all__ = [
     "iter_primes",
     "parse_place",
     "support_places",
-    "valuation",
     "hasse_invariant",
     "hilbert_symbol",
     "DiagonalForm",
     "is_isotropic",
-    "is_isotropic_local",
     "isotropic_vector",
     "represents",
     "solve_conic",

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .forms import DiagonalForm, is_isotropic, isotropic_vector, solve_conic
 from .hilbert import hilbert_symbol
@@ -50,14 +50,14 @@ def _nonzero(text: str, flag: str) -> Fraction:
     return value
 
 
-def _rational_list(text: str, flag: str, expected: Optional[int] = None) -> list[Fraction]:
+def _rational_list(text: str, flag: str, expected: int | None = None) -> list[Fraction]:
     parts = text.split(",")
     if expected is not None and len(parts) != expected:
         raise _UsageError(f"{flag}: expected {expected} comma-separated values")
     return [_rational(part, flag) for part in parts]
 
 
-def _form(text: str, flag: str, expected: Optional[int] = None) -> DiagonalForm:
+def _form(text: str, flag: str, expected: int | None = None) -> DiagonalForm:
     entries = _rational_list(text, flag, expected)
     if any(x == 0 for x in entries):
         raise _UsageError(f"{flag}: entries must be nonzero")
@@ -200,7 +200,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     return code, json.dumps(payload, separators=(",", ":"))
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     code, out = run(sys.argv[1:] if argv is None else argv)
     if out:
         print(out)

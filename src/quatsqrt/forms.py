@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
 
 from .hilbert import _hasse, _symbol_squarefree
 from .legendre import _legendre_zero
-from .places import Place, _local_classes, _local_square, _places_over
+from .places import Place, _local_square, _places_over
 from .rationals import (RationalLike, _Class, _expect, _sqrt_ratio, _square_class, _times, _Value,
                         as_fraction, is_square)
 
@@ -77,12 +76,6 @@ def _isotropic(classes: Sequence[_Class]) -> bool:
     return all(_isotropic_at(reps, v) for v in _places_over(p for _, ps in classes for p in ps))
 
 
-def is_isotropic_local(form: DiagonalForm, v: Place) -> bool:
-    """Whether the form has a nontrivial zero over the completion at v."""
-    _expect(form, DiagonalForm)
-    return _isotropic_at(_local_classes(form, v), v)
-
-
 def is_isotropic(form: DiagonalForm) -> bool:
     """Whether the form has a nontrivial rational zero.
 
@@ -100,7 +93,7 @@ def is_isotropic(form: DiagonalForm) -> bool:
 
 
 def _conic(alpha: tuple[int, int], ca: _Class, c: tuple[int, int],
-           cc: _Class) -> Optional[tuple[int, int, int, int]]:
+           cc: _Class) -> tuple[int, int, int, int] | None:
     """(xn, xd, yn, yd), all >= 0, with x = xn/xd and y = yn/yd solving
     x^2 - alpha*y^2 = c, or None.
 
@@ -126,9 +119,7 @@ def _conic(alpha: tuple[int, int], ca: _Class, c: tuple[int, int],
     return xn, xd, yn, yd
 
 
-def solve_conic(
-    alpha: RationalLike, c: RationalLike
-) -> Optional[tuple[Fraction, Fraction]]:
+def solve_conic(alpha: RationalLike, c: RationalLike) -> tuple[Fraction, Fraction] | None:
     """An exact rational solution (x, y) of x^2 - alpha*y^2 = c, or None.
 
     When alpha is a square the conic is a split pair of lines and a solution
@@ -153,7 +144,7 @@ def solve_conic(
     return None if sol is None else (Fraction(sol[0], sol[1]), Fraction(sol[2], sol[3]))
 
 
-def isotropic_vector(form: DiagonalForm) -> Optional[Vector]:
+def isotropic_vector(form: DiagonalForm) -> Vector | None:
     """A nontrivial exact zero of a ternary form, or None when anisotropic."""
     _expect(form, DiagonalForm)
     if form.dim != 3:
@@ -164,7 +155,7 @@ def isotropic_vector(form: DiagonalForm) -> Optional[Vector]:
     return None if sol is None else (*sol, Fraction(1))
 
 
-def represents(form: DiagonalForm, d: RationalLike) -> Optional[tuple[Fraction, Fraction]]:
+def represents(form: DiagonalForm, d: RationalLike) -> tuple[Fraction, Fraction] | None:
     """(u, v) with x0*u^2 + x1*v^2 = d for a binary form <x0, x1>, or None."""
     _expect(form, DiagonalForm)
     if form.dim != 2:

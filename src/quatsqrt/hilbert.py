@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .legendre import _legendre
 from .places import Place, _local_classes, _places_over

@@ -13,7 +13,7 @@ unimodular quadratic forms", Math. Comp. 74, 2005.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 
 def _legendre(u: int, p: int) -> int:
@@ -21,7 +21,7 @@ def _legendre(u: int, p: int) -> int:
     return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
 
 
-def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n modulo the prime p, or None, from one exponentiation:
     r = n^((p+1)/4) if r^2 = n for p = 3 mod 4; else, with p - 1 = q*2^s and
     x = n^((q-1)/2), r = n*x if t = r*x = n^q is 1, or Tonelli-Shanks from r
@@ -55,7 +55,7 @@ def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
     return r
 
 
-def _root(num: int, den: int, primes: Iterable[int]) -> Optional[int]:
+def _root(num: int, den: int, primes: Iterable[int]) -> int | None:
     """A square root of num/den modulo the product of distinct primes, den a unit
     there, combined by the Chinese remainder theorem, or None at the first of
     the primes that has none."""
@@ -115,7 +115,7 @@ def _lll(basis: Sequence[Sequence[int]], weights: Sequence[int]) -> tuple[Sequen
 
 def _legendre_zero(
     A: int, B: int, C: int, pa: Iterable[int], pb: Iterable[int], pc: Iterable[int]
-) -> Optional[tuple[int, int, int]]:
+) -> tuple[int, int, int] | None:
     """A nonzero zero of Q = A*X^2 + B*Y^2 + C*Z^2, or None when Q is anisotropic.
 
     pa, pb, pc are the primes of A, B, C; m = |ABC|, N = |A|X^2 + |B|Y^2 +

@@ -1,11 +1,10 @@
-"""Places of the rationals: valuations, real signs, local square tests."""
+"""Places of the rationals: real signs, local square classes and tests, supports."""
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterable
-from typing import Iterator, Optional, Union
+from collections.abc import Iterable, Iterator
 
 from .legendre import _legendre
 from .rationals import (RationalLike, _expect, _small_primes, _square_class, _Value, as_fraction,
@@ -16,20 +15,12 @@ class Place(_Value):
     """The real place (prime is None) or the finite place at a prime."""
 
     _fields = ("prime",)
-    prime: Optional[int]
+    prime: int | None
 
-    def __init__(self, prime: Optional[int] = None) -> None:
+    def __init__(self, prime: int | None = None) -> None:
         if prime is not None and not is_prime(prime):
             raise ValueError(f"not a prime: {prime}")
         self._set(prime)
-
-    @classmethod
-    def real(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
 
     @property
     def is_real(self) -> bool:
@@ -39,7 +30,7 @@ class Place(_Value):
         return "inf" if self.prime is None else str(self.prime)
 
 
-REAL = Place.real()
+REAL = Place()
 
 
 def parse_place(text: str) -> Place:
@@ -61,22 +52,6 @@ def _strip(n: int, p: int) -> tuple[int, int]:
         n //= p
         k += 1
     return k, n
-
-
-def valuation(q: RationalLike, p: Union[int, Place]) -> int:
-    """p-adic valuation of a nonzero rational, p prime; negative when p divides the denominator."""
-    if isinstance(p, Place):
-        if p.is_real:
-            raise ValueError("valuation needs a finite place")
-        p = p.prime
-    elif not isinstance(p, int):
-        raise TypeError(f"expected an int or Place, got {type(p).__name__}")
-    elif not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
-    q = as_fraction(q)
-    if q == 0:
-        raise ValueError("valuation of zero is undefined")
-    return _strip(q.numerator, p)[0] - _strip(q.denominator, p)[0]
 
 
 def _local_classes(values: Iterable[RationalLike], v: Place) -> list[int]:

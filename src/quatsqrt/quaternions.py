@@ -11,11 +11,11 @@ square with the target's, before building its Fractions from those integers.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
 
-from .forms import DiagonalForm, _conic, _isotropic_at
+from .forms import _conic, _isotropic_at
 from .hilbert import _obstructions
 from .places import Place, _local_square
 from .rationals import (RationalLike, _Class, _class_times, _expect, _sqrt_ratio, _square_class,
@@ -49,10 +49,6 @@ class QuaternionAlgebra(_Value):
 
     def scalar(self, c: RationalLike) -> "Quaternion":
         return self.quaternion(c, 0, 0, 0)
-
-    def pure_norm_form(self) -> DiagonalForm:
-        """<-alpha, -beta, alpha*beta>: the reduced norm on pure quaternions."""
-        return DiagonalForm((-self.alpha, -self.beta, self.alpha * self.beta))
 
     def is_split(self) -> bool:
         """Whether the algebra is isomorphic to 2x2 matrices over Q.
@@ -155,7 +151,7 @@ class Quaternion(_Value):
     def __neg__(self) -> "Quaternion":
         return Quaternion(self.algebra, -self.q0, -self.q1, -self.q2, -self.q3)
 
-    def __mul__(self, other: Union["Quaternion", int, Fraction]) -> "Quaternion":
+    def __mul__(self, other: Quaternion | int | Fraction) -> "Quaternion":
         if not isinstance(other, Quaternion):
             c = as_fraction(other)
             return Quaternion._unchecked(self.algebra, *[c * x for x in self.coords])
@@ -173,7 +169,7 @@ class Quaternion(_Value):
             Fraction(p0 * r3 + p3 * r0 + p1 * r2 - p2 * r1, DE),
         )
 
-    def __rmul__(self, other: Union[int, Fraction]) -> "Quaternion":
+    def __rmul__(self, other: int | Fraction) -> "Quaternion":
         return self * other
 
     def _scaled(self) -> tuple[int, tuple[int, int, int, int]]:
@@ -224,7 +220,7 @@ def _checked_root(algebra: QuaternionAlgebra, x0: int, y0: int, pure: Sequence[i
                                  Fraction(x2, y), Fraction(x3, y))
 
 
-def _sqrt_noncentral(q: Quaternion) -> Optional[Quaternion]:
+def _sqrt_noncentral(q: Quaternion) -> Quaternion | None:
     """A root of a non-central q, or None.
 
     r^2 = q forces N(r)^2 = N(q) and 2*r0^2 - N(r) = q0, so r0^2 is one of
@@ -265,7 +261,7 @@ def _sqrt_split(algebra: QuaternionAlgebra, A: int, D: int) -> Quaternion:
     return _checked_root(algebra, 0, 1, w, Q, D, (A, 0, 0, 0), "split central root")
 
 
-def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quaternion]:
+def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Quaternion | None:
     """The root of a = n/d, in lowest terms and not a rational square, in a
     non-split algebra, or None.
 
@@ -306,7 +302,7 @@ def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Optional[Quate
                          "non-split central root")
 
 
-def sqrt(q: Quaternion) -> Optional[Quaternion]:
+def sqrt(q: Quaternion) -> Quaternion | None:
     """An exact square root of q, or None when q has none.
 
     Dispatch: non-central values to `_sqrt_noncentral`; a central a = n/d,

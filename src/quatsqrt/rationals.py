@@ -14,10 +14,8 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Union
 
-Rational = Fraction
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 # Miller-Rabin to the first k prime bases is deterministic for n < psi_k, the
 # smallest strong pseudoprime to all of them (Jaeschke 1993; Sorenson-Webster
@@ -355,7 +353,7 @@ def squarefree_part(q: RationalLike) -> tuple[int, Fraction]:
     return s, is_square(as_fraction(q) / s)
 
 
-def _sqrt_ratio(n: int, d: int) -> Optional[int]:
+def _sqrt_ratio(n: int, d: int) -> int | None:
     """r = isqrt(n*d) when n/d, d > 0 and not necessarily reduced, is the square of r/d."""
     if n < 0:
         return None
@@ -363,7 +361,7 @@ def _sqrt_ratio(n: int, d: int) -> Optional[int]:
     return r if r * r == n * d else None
 
 
-def is_square(q: RationalLike) -> Optional[Fraction]:
+def is_square(q: RationalLike) -> Fraction | None:
     """The nonnegative exact square root of q, or None when q is not a square."""
     q = as_fraction(q)
     r = _sqrt_ratio(q.numerator, q.denominator)

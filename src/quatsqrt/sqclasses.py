@@ -39,7 +39,6 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Optional
 
 from .forms import DiagonalForm, _conic, _isotropic, solve_conic
 from .legendre import _legendre
@@ -92,7 +91,7 @@ class GF2System(_Value):
         self._set(rows, rhs, ncols)
 
 
-def solve_gf2(system: GF2System) -> Optional[tuple[int, ...]]:
+def solve_gf2(system: GF2System) -> tuple[int, ...] | None:
     """One solution of the system (free variables set to 0), or None.
 
     Row by row: each row, augmented with its rhs bit, is reduced by the pivot
@@ -136,7 +135,7 @@ def _certificate(b0: tuple[int, int], cb: _Class, r: tuple[int, int], cr: _Class
     return sol
 
 
-def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
+def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Fraction | None:
     """A nonzero rational represented by both binary forms, or None.
 
     Isotropic inputs are universal, so the other form's first entry works,
@@ -156,7 +155,7 @@ def common_value(xi: DiagonalForm, zeta: DiagonalForm) -> Optional[Fraction]:
 
 
 def _common_value(xi: Sequence[Fraction],
-                  zeta: Sequence[Fraction]) -> Optional[tuple[Fraction, _Pair, _Pair]]:
+                  zeta: Sequence[Fraction]) -> tuple[Fraction, _Pair, _Pair] | None:
     """(d, (u, v) for xi, (u, v) for zeta) with b0*u^2 + b1*v^2 = d for each
     form's entries (b0, b1), or None when no common value exists."""
     # An isotropic form is universal, so the other's first entry is a common

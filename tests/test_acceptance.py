@@ -156,7 +156,7 @@ def test_criterion_4_reciprocity_at_scale():
 
 def test_criterion_5_symbol_oracle_equivalence():
     with _criterion(5, "exhaustive symbol box vs congruence oracle") as c:
-        finite = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)]
+        finite = [Place(p) for p in (2, 3, 5, 7, 11, 13)]
         checked = 0
         for a in range(-30, 31):
             if a == 0:

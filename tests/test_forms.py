@@ -15,14 +15,13 @@ import quatsqrt.legendre as legendre_module
 from quatsqrt.forms import (
     DiagonalForm,
     is_isotropic,
-    is_isotropic_local,
     isotropic_vector,
     represents,
     solve_conic,
 )
 from quatsqrt.hilbert import hasse_invariant, hilbert_symbol
 from quatsqrt.legendre import _sqrt_mod_prime
-from quatsqrt.places import REAL, Place, is_local_square, support_places
+from quatsqrt.places import REAL, Place, _local_classes, is_local_square, support_places
 from quatsqrt.rationals import _square_class, is_square
 
 import oracles
@@ -58,26 +57,31 @@ class TestDiagonalForm:
             DiagonalForm((1, 1))((1, 2, 3))
 
 
+def isotropic_at_place(form, v):
+    """Local isotropy at v, as the package decides it for `is_isotropic`."""
+    return forms_module._isotropic_at(_local_classes(form, v), v)
+
+
 class TestLocalIsotropy:
     def test_real_place(self):
-        assert is_isotropic_local(DiagonalForm((1, -1)), REAL)
-        assert not is_isotropic_local(DiagonalForm((1, 1, 1, 1, 1)), REAL)
-        assert not is_isotropic_local(DiagonalForm((-2,)), REAL)
+        assert isotropic_at_place(DiagonalForm((1, -1)), REAL)
+        assert not isotropic_at_place(DiagonalForm((1, 1, 1, 1, 1)), REAL)
+        assert not isotropic_at_place(DiagonalForm((-2,)), REAL)
 
     def test_classical_facts(self):
-        two = Place.finite(2)
+        two = Place(2)
         # sums of 3 or 4 squares have no nontrivial zero over the 2-adics
-        assert not is_isotropic_local(DiagonalForm((1, 1, 1)), two)
-        assert not is_isotropic_local(DiagonalForm((1, 1, 1, 1)), two)
-        assert is_isotropic_local(DiagonalForm((1, 1, 1, 1, 1)), two)
+        assert not isotropic_at_place(DiagonalForm((1, 1, 1)), two)
+        assert not isotropic_at_place(DiagonalForm((1, 1, 1, 1)), two)
+        assert isotropic_at_place(DiagonalForm((1, 1, 1, 1, 1)), two)
         for p in (3, 5, 7):
-            assert is_isotropic_local(DiagonalForm((1, 1, 1)), Place.finite(p))
+            assert isotropic_at_place(DiagonalForm((1, 1, 1)), Place(p))
         # <1,-2> : 2 is a square mod 7, not over Q_5
-        assert is_isotropic_local(DiagonalForm((1, -2)), Place.finite(7))
-        assert not is_isotropic_local(DiagonalForm((1, -2)), Place.finite(5))
+        assert isotropic_at_place(DiagonalForm((1, -2)), Place(7))
+        assert not isotropic_at_place(DiagonalForm((1, -2)), Place(5))
 
     def test_dimension_one(self):
-        assert not is_isotropic_local(DiagonalForm((5,)), Place.finite(5))
+        assert not isotropic_at_place(DiagonalForm((5,)), Place(5))
 
 
 class TestGlobalIsotropy:
@@ -108,15 +112,15 @@ class TestGlobalIsotropy:
     @given(ternary_forms())
     @settings(max_examples=100)
     def test_local_everywhere_iff_global(self, form):
-        local = all(is_isotropic_local(form, v) for v in support_places(form))
+        local = all(isotropic_at_place(form, v) for v in support_places(form))
         assert local == is_isotropic(form)
 
     @given(st.lists(nonzero_rationals, min_size=2, max_size=5))
     @settings(max_examples=80, deadline=None)
     def test_local_matches_the_textbook_formula(self, entries):
         form = DiagonalForm(tuple(entries))
-        for v in support_places(form) + [Place.finite(p) for p in (3, 5, 7)]:
-            assert is_isotropic_local(form, v) == textbook_isotropic_local(form, v)
+        for v in support_places(form) + [Place(p) for p in (3, 5, 7)]:
+            assert isotropic_at_place(form, v) == textbook_isotropic_local(form, v)
 
 
 def textbook_isotropic_local(form, v):

@@ -1,4 +1,4 @@
-"""Places, valuations, and local square tests, checked against residue scans."""
+"""Places and local square tests, checked against residue scans."""
 
 from fractions import Fraction
 
@@ -14,8 +14,8 @@ from quatsqrt.places import (
     iter_primes,
     parse_place,
     support_places,
-    valuation,
 )
+from quatsqrt.rationals import factor
 
 from oracles import local_square_oracle, trial_division
 
@@ -31,17 +31,17 @@ class TestPlace:
         assert REAL.is_real
         assert REAL.prime is None
         assert str(REAL) == "inf"
-        assert Place.real() == REAL
+        assert Place() == REAL
 
     def test_finite(self):
-        p = Place.finite(7)
+        p = Place(7)
         assert not p.is_real
         assert p.prime == 7
         assert str(p) == "7"
 
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
-            Place.finite(4)
+            Place(4)
         with pytest.raises(ValueError):
             Place(15)
 
@@ -51,41 +51,47 @@ class TestPlace:
 
     def test_parse(self):
         assert parse_place("inf") == REAL
-        assert parse_place("13") == Place.finite(13)
+        assert parse_place("13") == Place(13)
         for bad in ("4", "abc", "-3", "2.0", ""):
             with pytest.raises(ValueError):
                 parse_place(bad)
 
 
+def valuation(q, p):
+    """The README's replacement for the deleted `valuation`, read off `factor`."""
+    return dict(factor(q).factors).get(p, 0)
+
+
 class TestValuation:
+    """Valuations read off `factor`, and the check on the prime that the local
+    tests strip from a value: a `Place` holds only a prime."""
+
     def test_examples(self):
         assert valuation(Fraction(5, 9), 3) == -2
         assert valuation(12, 2) == 2
         assert valuation(12, 3) == 1
         assert valuation(12, 5) == 0
-        assert valuation(Fraction(-8, 3), Place.finite(2)) == 3
+        assert valuation(Fraction(-8, 3), 2) == 3
 
     def test_errors(self):
         with pytest.raises(ValueError):
             valuation(0, 2)
-        with pytest.raises(ValueError):
-            valuation(1, REAL)
 
     def test_float_p_rejected(self):
         with pytest.raises(TypeError):
-            valuation(5, 2.5)
+            Place(2.5)
 
     @pytest.mark.parametrize("p", [1, -1, 0, -2])
     def test_p_below_two_rejected(self, p):
         # p = +-1 divides every integer, so stripping it would never end.
         with pytest.raises(ValueError):
-            valuation(5, p)
+            Place(p)
 
     @pytest.mark.parametrize("p", [4, 6, 9, 1001])
     def test_composite_p_rejected(self, p):
-        # valuation(16, 4) would read 2 and valuation(1/8, 6) 0: neither is a p-adic valuation.
+        # Stripping 4 from 16 would read 2, and 6 from 1/8 would read 0: neither is a valuation.
         with pytest.raises(ValueError, match=f"not a prime: {p}"):
-            valuation(Fraction(1, 8) if p == 6 else 16, p)
+            Place(p)
 
     @given(nonzero_rationals, st.sampled_from(SMALL_PRIMES))
     def test_unit_part(self, q, p):
@@ -105,13 +111,13 @@ class TestIsLocalSquare:
         assert not is_local_square(-2, REAL)
 
     def test_known_values(self):
-        two = Place.finite(2)
+        two = Place(2)
         assert is_local_square(17, two)  # 17 = 1 mod 8
         assert not is_local_square(3, two)
         assert not is_local_square(2, two)
         assert is_local_square(4, two)
-        assert is_local_square(-1, Place.finite(5))  # 5 = 1 mod 4
-        assert not is_local_square(-1, Place.finite(7))
+        assert is_local_square(-1, Place(5))  # 5 = 1 mod 4
+        assert not is_local_square(-1, Place(7))
         assert is_local_square(Fraction(1, 2), two) == is_local_square(2, two)
 
     def test_zero_rejected(self):
@@ -120,11 +126,11 @@ class TestIsLocalSquare:
 
     @given(nonzero_rationals, st.sampled_from(SMALL_PRIMES))
     def test_against_residue_scan(self, q, p):
-        assert is_local_square(q, Place.finite(p)) == local_square_oracle(q, p)
+        assert is_local_square(q, Place(p)) == local_square_oracle(q, p)
 
     def test_exhaustive_small_integers(self):
         for p in SMALL_PRIMES:
-            v = Place.finite(p)
+            v = Place(p)
             for n in range(-200, 201):
                 if n == 0:
                     continue
@@ -135,7 +141,7 @@ class TestIsLocalSquare:
         # q = p^k * w/s for valuations k in -6..6, every unit class w mod 16 (p = 2) or
         # mod p, and unit denominators s; u = num(q)*den(q) is in q's square class.
         # At the real place (p None) the oracle is the sign, over powers of 3.
-        v, base = (REAL, 3) if p is None else (Place.finite(p), p)
+        v, base = (REAL, 3) if p is None else (Place(p), p)
         units = [w for w in range(-16, 17) if w % base]
         for k in range(-6, 7):
             for w in units:
@@ -148,12 +154,12 @@ class TestIsLocalSquare:
 
     @given(nonzero_rationals, st.sampled_from(SMALL_PRIMES + (None,)))
     def test_public_test_reads_the_integer_kernel(self, q, p):
-        v = REAL if p is None else Place.finite(p)
+        v = REAL if p is None else Place(p)
         assert is_local_square(q, v) == places._local_square(q.numerator * q.denominator, v)
 
     @given(nonzero_rationals, st.sampled_from(SMALL_PRIMES))
     def test_squares_are_squares(self, q, p):
-        assert is_local_square(q * q, Place.finite(p))
+        assert is_local_square(q * q, Place(p))
         assert is_local_square(q * q, REAL)
 
 
@@ -175,26 +181,26 @@ class TestPrimes:
 class TestSupportPlaces:
     def test_always_has_real_and_two(self):
         places = support_places([Fraction(9)])
-        assert places == [REAL, Place.finite(2)]  # 9 has even valuation everywhere
+        assert places == [REAL, Place(2)]  # 9 has even valuation everywhere
 
     def test_odd_valuation_primes_present(self):
         places = support_places([Fraction(3, 5), Fraction(7)])
         assert places == [
             REAL,
-            Place.finite(2),
-            Place.finite(3),
-            Place.finite(5),
-            Place.finite(7),
+            Place(2),
+            Place(3),
+            Place(5),
+            Place(7),
         ]
 
     def test_primes_from_factor_not_tested_again(self, monkeypatch):
-        expected = [REAL] + [Place.finite(p) for p in (2, 3, 5, 7)]
+        expected = [REAL] + [Place(p) for p in (2, 3, 5, 7)]
         calls = []
         monkeypatch.setattr(places, "is_prime", lambda n: calls.append(n) or True)
         assert support_places([Fraction(3, 5), Fraction(7)]) == expected
         assert calls == []
         # The public constructors still test
-        Place.finite(11)
+        Place(11)
         parse_place("13")
         assert calls == [11, 13]
 

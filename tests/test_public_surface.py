@@ -15,7 +15,6 @@ import quatsqrt
 
 PUBLIC = [
     "Factorization",
-    "Rational",
     "as_fraction",
     "factor",
     "is_prime",
@@ -28,12 +27,10 @@ PUBLIC = [
     "iter_primes",
     "parse_place",
     "support_places",
-    "valuation",
     "hasse_invariant",
     "hilbert_symbol",
     "DiagonalForm",
     "is_isotropic",
-    "is_isotropic_local",
     "isotropic_vector",
     "represents",
     "solve_conic",
@@ -68,12 +65,20 @@ TRACED_METHODS = [
     ("quaternions", "QuaternionAlgebra", "is_split"),
     ("quaternions", "Quaternion", "square"),
 ]
-# Methods no package path called, deleted; README "Migrating from
-# `determinant`, `conj` and `is_pure`" gives their replacements.
+# Names no package path called, deleted; the README's "Migrating from ..."
+# sections give their replacements.
+REMOVED_FUNCTIONS = [
+    ("places", "valuation"),
+    ("forms", "is_isotropic_local"),
+    ("rationals", "Rational"),
+]
 REMOVED_METHODS = [
     ("forms", "DiagonalForm", "determinant"),
     ("quaternions", "Quaternion", "conj"),
     ("quaternions", "Quaternion", "is_pure"),
+    ("places", "Place", "finite"),
+    ("places", "Place", "real"),
+    ("quaternions", "QuaternionAlgebra", "pure_norm_form"),
 ]
 
 
@@ -92,6 +97,12 @@ def test_traced_function_is_bound_on_its_module(module, name):
 def test_traced_method_is_defined_on_its_class(module, cls, method):
     owner = getattr(importlib.import_module(f"quatsqrt.{module}"), cls)
     assert callable(owner.__dict__[method])
+
+
+@pytest.mark.parametrize("module, name", REMOVED_FUNCTIONS)
+def test_removed_function_is_gone(module, name):
+    assert not hasattr(importlib.import_module(f"quatsqrt.{module}"), name)
+    assert not hasattr(quatsqrt, name)
 
 
 @pytest.mark.parametrize("module, cls, method", REMOVED_METHODS)

@@ -1,6 +1,6 @@
 """The value-class contract: the package's six immutable classes compare,
 hash, print, copy and refuse mutation by their fields, and importing the
-package loads neither `dataclasses` nor `inspect`."""
+package and its CLI loads none of `dataclasses`, `inspect` and `typing`."""
 
 import copy
 import pickle
@@ -123,13 +123,14 @@ def test_lists_handed_in_are_stored_as_tuples():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
+    # -S skips the site hooks, which may import typing before the package does.
     code = (
-        "import sys; bare = set(sys.modules); import quatsqrt; "
+        "import sys; bare = set(sys.modules); import quatsqrt, quatsqrt.cli; "
         "print(' '.join(sorted(set(sys.modules) - bare)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
     added = set(proc.stdout.split())
-    assert "quatsqrt" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert {"quatsqrt", "quatsqrt.cli"} <= added
+    assert not added & {"dataclasses", "inspect", "typing"}
