@@ -31,12 +31,7 @@ from .forms import (
     represents,
     solve_conic,
 )
-from .sqclasses import (
-    GF2System,
-    common_value,
-    singular_basis,
-    solve_gf2,
-)
+from .sqclasses import common_value, singular_basis
 from .quaternions import Quaternion, QuaternionAlgebra, sqrt
 
 __version__ = "0.1.0"
@@ -62,10 +57,8 @@ __all__ = [
     "isotropic_vector",
     "represents",
     "solve_conic",
-    "GF2System",
     "common_value",
     "singular_basis",
-    "solve_gf2",
     "Quaternion",
     "QuaternionAlgebra",
     "sqrt",

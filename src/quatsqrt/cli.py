@@ -7,6 +7,9 @@ one-line diagnostic on stderr, 3 for an internal error (a failed exact
 check, an exhausted search) with one "error: internal:" line on stderr.
 Nothing is read from or written to disk, and equal inputs produce
 byte-identical output.
+
+The one exception is --help, at the top or after a command: it prints
+argparse's usage text, not JSON, and exits 0.
 """
 
 from __future__ import annotations
@@ -68,11 +71,12 @@ def _fmt(values: Sequence[Fraction]) -> list[str]:
     return [str(v) for v in values]
 
 
+def _algebra(args: argparse.Namespace) -> QuaternionAlgebra:
+    return QuaternionAlgebra(_nonzero(args.alpha, "--alpha"), _nonzero(args.beta, "--beta"))
+
+
 def _cmd_sqrt(args: argparse.Namespace) -> tuple[int, dict]:
-    algebra = QuaternionAlgebra(
-        _nonzero(args.alpha, "--alpha"), _nonzero(args.beta, "--beta")
-    )
-    q = algebra.quaternion(*_rational_list(args.q, "--q", 4))
+    q = _algebra(args).quaternion(*_rational_list(args.q, "--q", 4))
     root = sqrt(q)
     if root is None:
         return 1, {"status": "not_a_square"}
@@ -91,10 +95,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_is_split(args: argparse.Namespace) -> tuple[int, dict]:
-    algebra = QuaternionAlgebra(
-        _nonzero(args.alpha, "--alpha"), _nonzero(args.beta, "--beta")
-    )
-    return 0, {"split": algebra.is_split()}
+    return 0, {"split": _algebra(args).is_split()}
 
 
 def _cmd_conic(args: argparse.Namespace) -> tuple[int, dict]:
@@ -124,47 +125,33 @@ def _cmd_common_value(args: argparse.Namespace) -> tuple[int, dict]:
     return 0, {"status": "ok", "d": str(d)}
 
 
+# command -> (help, handler, ((flag, help or None), ...)); every flag takes a
+# value and is required.
+_COMMANDS = {
+    "sqrt": ("square root of a quaternion", _cmd_sqrt,
+             (("--alpha", None), ("--beta", None), ("--q", "q0,q1,q2,q3"))),
+    "hilbert": ("Hilbert symbol at a place", _cmd_hilbert,
+                (("--a", None), ("--b", None), ("--place", '"inf" or a prime'))),
+    "is-split": ("does the algebra split", _cmd_is_split, (("--alpha", None), ("--beta", None))),
+    "conic": ("solve x^2 - alpha*y^2 = c", _cmd_conic, (("--alpha", None), ("--c", None))),
+    "isotropic": ("isotropy of a diagonal form", _cmd_isotropic,
+                  (("--form", "comma-separated entries"),)),
+    "common-value": ("value represented by two binary forms", _cmd_common_value,
+                     (("--xi", "x0,x1"), ("--zeta", "z0,z1"))),
+}
+_VALUE_FLAGS = frozenset(flag for _, _, flags in _COMMANDS.values() for flag, _ in flags)
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="quatsqrt", description=__doc__)
+    # --help prints the docstring's first paragraphs, without the one on --help.
+    parser = _Parser(prog="quatsqrt", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sqrt", help="square root of a quaternion")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--q", required=True, help="q0,q1,q2,q3")
-    p.set_defaults(handler=_cmd_sqrt)
-
-    p = sub.add_parser("hilbert", help="Hilbert symbol at a place")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--place", required=True, help='"inf" or a prime')
-    p.set_defaults(handler=_cmd_hilbert)
-
-    p = sub.add_parser("is-split", help="does the algebra split")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.set_defaults(handler=_cmd_is_split)
-
-    p = sub.add_parser("conic", help="solve x^2 - alpha*y^2 = c")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--c", required=True)
-    p.set_defaults(handler=_cmd_conic)
-
-    p = sub.add_parser("isotropic", help="isotropy of a diagonal form")
-    p.add_argument("--form", required=True, help="comma-separated entries")
-    p.set_defaults(handler=_cmd_isotropic)
-
-    p = sub.add_parser("common-value", help="value represented by two binary forms")
-    p.add_argument("--xi", required=True, help="x0,x1")
-    p.add_argument("--zeta", required=True, help="z0,z1")
-    p.set_defaults(handler=_cmd_common_value)
-
+    for command, (text, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, hint in flags:
+            p.add_argument(flag, required=True, help=hint)
+        p.set_defaults(handler=handler)
     return parser
-
-
-_VALUE_FLAGS = frozenset(
-    ("--alpha", "--beta", "--q", "--a", "--b", "--place", "--c", "--form", "--xi", "--zeta")
-)
 
 
 def _merge_flag_values(argv: Sequence[str]) -> list[str]:

@@ -43,8 +43,7 @@ from fractions import Fraction
 from .forms import DiagonalForm, _conic, _isotropic, solve_conic
 from .legendre import _legendre
 from .places import iter_primes
-from .rationals import (_Class, _class_times, _expect, _square_class, _times, _Value, is_prime,
-                        is_square)
+from .rationals import _Class, _class_times, _expect, _square_class, _times, is_prime, is_square
 
 _PRIME_APPEND_CAP = 64
 _Pair = tuple[Fraction, Fraction]
@@ -63,36 +62,11 @@ def singular_basis(primes: Iterable[int]) -> tuple[int, ...]:
     return (-1, *ps)
 
 
-class GF2System(_Value):
-    """A linear system over GF(2): rows as column bitmasks, one rhs bit per row."""
+def solve_gf2(rows: Sequence[int], rhs: Sequence[int], ncols: int) -> tuple[int, ...] | None:
+    """One solution of the GF(2) system (free variables set to 0), or None.
 
-    _fields = ("rows", "rhs", "ncols")
-    rows: tuple[int, ...]
-    rhs: tuple[int, ...]
-    ncols: int
-
-    def __init__(self, rows: tuple[int, ...], rhs: tuple[int, ...], ncols: int) -> None:
-        _expect(rows, Sequence)
-        _expect(rhs, Sequence)
-        _expect(ncols, int)
-        rows, rhs = tuple(rows), tuple(rhs)
-        if len(rows) != len(rhs):
-            raise ValueError("rows and rhs lengths differ")
-        if ncols < 0:
-            raise ValueError("negative column count")
-        for mask in rows:
-            _expect(mask, int)
-            if mask < 0 or mask >> ncols:
-                raise ValueError("row mask outside the column range")
-        for b in rhs:
-            _expect(b, int)
-            if b not in (0, 1):
-                raise ValueError("rhs entries must be bits")
-        self._set(rows, rhs, ncols)
-
-
-def solve_gf2(system: GF2System) -> tuple[int, ...] | None:
-    """One solution of the system (free variables set to 0), or None.
+    The search's internal step, unchecked: each row is a bitmask of columns
+    below ncols, and each rhs entry a bit, one per row.
 
     Row by row: each row, augmented with its rhs bit, is reduced by the pivot
     rows whose pivot bits it holds, lowest first; a row left with only its rhs
@@ -100,11 +74,10 @@ def solve_gf2(system: GF2System) -> tuple[int, ...] | None:
     its lowest set bit. Back substitution from the highest pivot then gives
     the solution with free variables 0, which is Gauss-Jordan's.
     """
-    _expect(system, GF2System)
-    n = system.ncols
+    n = ncols
     pivots: dict[int, int] = {}  # pivot bit -> its augmented row, no set bit below it
     held = 0  # the pivot bits
-    for mask, bit in zip(system.rows, system.rhs):
+    for mask, bit in zip(rows, rhs):
         row = mask | bit << n
         while hits := row & held:  # a pivot row clears its bit and sets only higher ones
             row ^= pivots[hits & -hits]
@@ -202,7 +175,7 @@ def _search_common_value(xi: Sequence[_Class], zeta: Sequence[_Class]) -> list[i
             rows.append((wide.get(wp, 0) | own << k, int(minus), wp))
     (masks, rhs, at), appended = zip(*rows), (q for q in iter_primes() if q not in columns)
     for counted in itertools.count():
-        eps = solve_gf2(GF2System._unchecked(tuple(masks), rhs, len(columns)))
+        eps = solve_gf2(masks, rhs, len(columns))
         if eps is not None:
             return [c for c, e in zip(columns, eps) if e]
         if counted == _PRIME_APPEND_CAP:

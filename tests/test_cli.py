@@ -179,6 +179,27 @@ class TestReadme:
             assert x * x + y * y - 2 * z * z == 0 and any((x, y, z))
 
 
+class TestHelp:
+    # Each command's flags, written out here rather than read from the parser.
+    FLAGS = {
+        "sqrt": ("--alpha", "--beta", "--q"),
+        "hilbert": ("--a", "--b", "--place"),
+        "is-split": ("--alpha", "--beta"),
+        "conic": ("--alpha", "--c"),
+        "isotropic": ("--form",),
+        "common-value": ("--xi", "--zeta"),
+    }
+
+    @pytest.mark.parametrize("command", [None, *FLAGS])
+    def test_help_prints_usage_and_exits_zero(self, command):
+        # --help is the one invocation whose stdout is not one JSON line.
+        proc = run_subprocess(*([command] if command else []), "--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: quatsqrt")
+        listed = self.FLAGS if command is None else self.FLAGS[command]
+        assert all(name in proc.stdout for name in listed), proc.stdout
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize(
         "argv",

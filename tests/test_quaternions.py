@@ -23,7 +23,7 @@ from quatsqrt.hilbert import hasse_invariant, hilbert_symbol
 from quatsqrt.places import REAL, Place, is_local_square, support_places
 from quatsqrt.quaternions import Quaternion, QuaternionAlgebra, sqrt
 from quatsqrt.rationals import Factorization, is_square
-from quatsqrt.sqclasses import GF2System, _common_value, common_value, singular_basis, solve_gf2
+from quatsqrt.sqclasses import _common_value, common_value, singular_basis
 
 import oracles
 from oracles import hilbert_oracle_finite, hilbert_oracle_real
@@ -229,16 +229,10 @@ class TestArithmetic:
             pytest.param(lambda: is_isotropic(2.0), "float", id="is_isotropic(2.0)"),
             pytest.param(lambda: isotropic_vector(2.0), "float", id="isotropic_vector(2.0)"),
             pytest.param(lambda: represents(2.0, 1), "float", id="represents(2.0, 1)"),
-            pytest.param(lambda: solve_gf2(2.0), "float", id="solve_gf2(2.0)"),
             pytest.param(lambda: hasse_invariant(2.0, Place(3)), "float",
                          id="hasse_invariant(2.0)"),
             pytest.param(lambda: DiagonalForm(2.0), "float", id="DiagonalForm(2.0)"),
             pytest.param(lambda: singular_basis(2.0), "float", id="singular_basis(2.0)"),
-            pytest.param(lambda: GF2System(2.0, (), 0), "float", id="GF2System(2.0)"),
-            pytest.param(lambda: GF2System((), 2.0, 0), "float", id="GF2System((), 2.0)"),
-            pytest.param(lambda: GF2System((), (), 1.5), "float", id="GF2System((), (), 1.5)"),
-            pytest.param(lambda: GF2System((1.0,), (0,), 1), "float", id="GF2System((1.0,), ...)"),
-            pytest.param(lambda: GF2System((1,), (1.0,), 1), "float", id="GF2System(..., (1.0,))"),
             pytest.param(lambda: support_places(2.0), "float", id="support_places(2.0)"),
             pytest.param(lambda: Factorization(1, 2.0), "float", id="Factorization(1, 2.0)"),
             pytest.param(lambda: Factorization(1.0, ()), "float", id="Factorization(1.0, ())"),

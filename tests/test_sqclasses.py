@@ -18,7 +18,6 @@ from quatsqrt.places import Place, _places_over, iter_primes
 from quatsqrt.rationals import _square_class, _times, factor, is_square
 from quatsqrt.sqclasses import (
     _PRIME_APPEND_CAP,
-    GF2System,
     _common_value,
     common_value,
     singular_basis,
@@ -91,7 +90,7 @@ def dense_common_value(xi, zeta, cap=400):
                 bits = ((1 - _symbol_squarefree(disc, rep, v)) // 2 for rep in reps)
                 rows.append(sum(b << k for k, b in enumerate(bits)))
                 rhs.append((1 - _symbol_squarefree(b0, b1, v)) // 2)
-        eps = solve_gf2(GF2System(tuple(rows), tuple(rhs), len(reps)))
+        eps = solve_gf2(rows, rhs, len(reps))
         if eps is not None:
             d = Fraction(math.prod(r for r, e in zip(reps, eps) if e))
             return d, represents(xi, d), represents(zeta, d)
@@ -138,28 +137,15 @@ class TestSingularBasis:
 class TestSolveGF2:
     def test_contract_examples(self):
         # identity matrix, rhs (1, 0)
-        assert solve_gf2(GF2System((0b01, 0b10), (1, 0), 2)) == (1, 0)
+        assert solve_gf2((0b01, 0b10), (1, 0), 2) == (1, 0)
         # single row x0 + x1 = 1 picks the free variable zero
-        assert solve_gf2(GF2System((0b11,), (1,), 2)) == (1, 0)
+        assert solve_gf2((0b11,), (1,), 2) == (1, 0)
         # inconsistent: same row, different rhs
-        assert solve_gf2(GF2System((0b01, 0b01), (0, 1), 2)) is None
+        assert solve_gf2((0b01, 0b01), (0, 1), 2) is None
 
     def test_free_variables_zero(self):
-        sol = solve_gf2(GF2System((0b110,), (1,), 3))
+        sol = solve_gf2((0b110,), (1,), 3)
         assert sol == (0, 1, 0)
-
-    def test_unchecked_is_the_same_system(self):
-        args = ((0b011, 0b110), (1, 0), 3)
-        assert GF2System._unchecked(*args) == GF2System(*args)
-        assert solve_gf2(GF2System._unchecked(*args)) == solve_gf2(GF2System(*args)) == (1, 0, 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GF2System((1,), (1, 0), 1)
-        with pytest.raises(ValueError):
-            GF2System((4,), (1,), 2)
-        with pytest.raises(ValueError):
-            GF2System((1,), (2,), 1)
 
     @given(
         st.integers(1, 6).flatmap(
@@ -174,8 +160,7 @@ class TestSolveGF2:
     def test_against_exhaustive_search(self, rows_n, data):
         rows, n = rows_n
         rhs = [data.draw(st.integers(0, 1)) for _ in rows]
-        system = GF2System(tuple(rows), tuple(rhs), n)
-        sol = solve_gf2(system)
+        sol = solve_gf2(rows, rhs, n)
         brute = [
             x
             for x in range(2**n)
@@ -213,7 +198,7 @@ class TestSolveGF2:
         rows = [mask & ~empty for mask, _ in pairs]
         for rhs in ([bit for _, bit in pairs], [0] * len(rows)):
             expected = solve_gf2_columns(rows, rhs, n)
-            assert solve_gf2(GF2System(tuple(rows), tuple(rhs), n)) == expected
+            assert solve_gf2(rows, rhs, n) == expected
 
 
 ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -339,9 +324,9 @@ class TestCommonValue:
     def test_appended_prime_adds_one_column(self, xi, zeta, monkeypatch):
         symbols, solves = evaluated_symbols(monkeypatch), []
 
-        def counting_solve(system):
-            solves.append(system)
-            return solve_gf2(system)
+        def counting_solve(*args):
+            solves.append(args)
+            return solve_gf2(*args)
 
         monkeypatch.setattr(sqclasses, "solve_gf2", counting_solve)
         assert _common_value(*classed(xi, zeta)) is not None
@@ -378,19 +363,6 @@ class TestCommonValue:
         assert _common_value(*classed(DiagonalForm(xi), DiagonalForm(zeta))) is not None
         assert seen and all(v.prime not in (None, 2) for _, _, v, _ in seen)
         assert [(a, b, v) for a, b, v, _ in seen if a % v.prime and b % v.prime] == []
-
-    def test_rounds_revalidate_no_system(self, monkeypatch):
-        # Each round's system is built unchecked; solve_gf2 still solves it.
-        checked = []
-        init = GF2System.__init__
-
-        def counting(self, *args):
-            checked.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(GF2System, "__init__", counting)
-        assert _common_value(*classed(*map(DiagonalForm, CAP_PAIR)))[0] == 420690
-        assert checked == []
 
     @pytest.mark.parametrize(
         "xi, zeta, d",
@@ -460,7 +432,7 @@ def test_long_searches_are_pinned_by_digest(monkeypatch):
     # 3 or more primes: the columns inserted mid-system, the wide rows' new
     # bits and the final solve all show in it.
     solves = []
-    monkeypatch.setattr(sqclasses, "solve_gf2", lambda system: solves.append(1) or solve_gf2(system))
+    monkeypatch.setattr(sqclasses, "solve_gf2", lambda *args: solves.append(1) or solve_gf2(*args))
     rng, h, long = random.Random(2408), hashlib.sha256(), 0
     for _ in range(1200):
         entries = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4), rng.randint(1, 50))

@@ -1,4 +1,4 @@
-"""The value-class contract: the package's six immutable classes compare,
+"""The value-class contract: the package's five immutable classes compare,
 hash, print, copy and refuse mutation by their fields, and importing the
 package and its CLI loads none of `dataclasses`, `inspect` and `typing`."""
 
@@ -13,7 +13,6 @@ import pytest
 from quatsqrt import (
     DiagonalForm,
     Factorization,
-    GF2System,
     Place,
     Quaternion,
     QuaternionAlgebra,
@@ -37,12 +36,6 @@ CASES = {
         ("entries",),
         ((F(1), F(-2, 3)),),
         "DiagonalForm(entries=(Fraction(1, 1), Fraction(-2, 3)))",
-    ),
-    "GF2System": (
-        lambda: GF2System((1, 3), (0, 1), 2),
-        ("rows", "rhs", "ncols"),
-        ((1, 3), (0, 1), 2),
-        "GF2System(rows=(1, 3), rhs=(0, 1), ncols=2)",
     ),
     "QuaternionAlgebra": (
         lambda: QuaternionAlgebra(-1, F(3, 2)),
@@ -109,17 +102,13 @@ def test_copies_and_pickles_are_equal(case):
 def test_lists_handed_in_are_stored_as_tuples():
     # The value hashes, equals the one built from tuples, and changing the lists
     # afterwards, which would also bypass validation, does not reach it.
-    pair, rows, rhs = [2, 1], [1], [0]
+    pair = [2, 1]
     factors = [pair]
-    built = [(Factorization(1, factors), Factorization(1, ((2, 1),))),
-             (GF2System(rows, rhs, 1), GF2System((1,), (0,), 1))]
+    value, expected = Factorization(1, factors), Factorization(1, ((2, 1),))
     pair[1] = 0
     factors.append((4, 1))
-    rows.append(8)
-    rhs.append(2)
-    for value, expected in built:
-        assert value == expected and hash(value) == hash(expected)
-        assert repr(value) == repr(expected)
+    assert value == expected and hash(value) == hash(expected)
+    assert repr(value) == repr(expected)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
