@@ -110,11 +110,10 @@ def _cmd_conic(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_isotropic(args: argparse.Namespace) -> tuple[int, dict]:
     form = _form(args.form, "--form")
-    answer = is_isotropic(form)
-    payload: dict = {"isotropic": answer}
-    if answer and form.dim == 3:
-        payload["witness"] = _fmt(isotropic_vector(form))
-    return 0, payload
+    if form.dim != 3:
+        return 0, {"isotropic": is_isotropic(form)}
+    w = isotropic_vector(form)  # its one conic decides isotropy too
+    return 0, {"isotropic": False} if w is None else {"isotropic": True, "witness": _fmt(w)}
 
 
 def _cmd_common_value(args: argparse.Namespace) -> tuple[int, dict]:

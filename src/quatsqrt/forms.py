@@ -79,9 +79,11 @@ def _isotropic(classes: Sequence[_Class]) -> bool:
 def is_isotropic(form: DiagonalForm) -> bool:
     """Whether the form has a nontrivial rational zero.
 
-    Dimensions 1 and 2 are settled by an exact square test; from dimension 3
-    on, Hasse-Minkowski reduces the question to the real place, 2, and the
-    odd primes appearing in the entries' squarefree parts.
+    Dimensions 1 and 2 are settled by an exact square test, dimension >= 5
+    by the entries' signs alone (Meyer: such a form is isotropic at every
+    prime), factoring nothing. In dimensions 3 and 4, Hasse-Minkowski reduces
+    the question to the real place, 2 and the odd primes of the entries'
+    squarefree parts; `isotropic_vector` decides a ternary form by one conic.
     """
     _expect(form, DiagonalForm)
     n = form.dim
@@ -89,6 +91,8 @@ def is_isotropic(form: DiagonalForm) -> bool:
         return False
     if n == 2:
         return is_square(-form.entries[0] * form.entries[1]) is not None
+    if n >= 5:
+        return min(form.entries) < 0 < max(form.entries)
     return _isotropic([_square_class(x) for x in form])
 
 

@@ -10,7 +10,6 @@ and column-by-column Gauss-Jordan over GF(2).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -110,17 +109,6 @@ def ternary_zero_search(
             x = first_x.get(-(b * sq[y] + c * sq[z]))
             if x is not None and (x or y or z):
                 return (x, y, z)
-    return None
-
-
-def diagonal_zero_search(
-    entries: Sequence[Fraction], height: int
-) -> Optional[tuple[int, ...]]:
-    """A nontrivial integer zero of any diagonal form, coords <= height."""
-    ints = _scaled_int_entries(entries)
-    for vec in itertools.product(range(height + 1), repeat=len(ints)):
-        if any(vec) and sum(e * v * v for e, v in zip(ints, vec)) == 0:
-            return vec
     return None
 
 

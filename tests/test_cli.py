@@ -1,5 +1,6 @@
 """CLI contract: one JSON line, exit codes, byte-for-byte determinism."""
 
+import itertools
 import json
 import re
 import shlex
@@ -12,6 +13,7 @@ import pytest
 
 import quatsqrt.sqclasses as sqclasses
 from quatsqrt.cli import run
+from quatsqrt.forms import DiagonalForm, is_isotropic
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -94,6 +96,39 @@ class TestSubcommands:
 
     def test_isotropic_false(self):
         assert invoke("isotropic", "--form", "1,1,1") == (0, '{"isotropic":false}')
+
+    def test_isotropic_ternary_agrees_with_is_isotropic(self):
+        values = [sign * v for v in (1, 2, 3, 5, 6, 7) for sign in (1, -1)]
+        for entries in itertools.product(values, repeat=3):
+            form = DiagonalForm(entries)
+            code, out = invoke("isotropic", "--form", ",".join(map(str, entries)))
+            payload = json.loads(out)
+            assert (code, payload["isotropic"]) == (0, is_isotropic(form)), entries
+            if payload["isotropic"]:
+                assert list(payload) == ["isotropic", "witness"]
+                witness = [Fraction(x) for x in payload["witness"]]
+                assert any(witness) and form(witness) == 0, entries
+            else:
+                assert payload == {"isotropic": False}
+
+    def test_isotropic_ternary_solves_one_conic(self, factor_calls):
+        # <2, 3, -5> is decided by the conic x^2 + (3/2)*y^2 = 5/2 alone.
+        assert invoke("isotropic", "--form", "2,3,-5") == (
+            0,
+            '{"isotropic":true,"witness":["1","1","1"]}',
+        )
+        assert factor_calls == [Fraction(-3, 2), Fraction(5, 2)]
+
+    def test_isotropic_dimension_five_reads_signs(self):
+        # N2 is the product of two 21-digit primes; the entries' signs decide.
+        n2 = 100000000000000000039 * 100000000000000000193
+        proc = subprocess.run(
+            [sys.executable, "-m", "quatsqrt.cli", "isotropic", "--form", f"1,1,1,1,-{n2}"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"isotropic":true}\n', "")
 
     def test_common_value(self):
         assert invoke("common-value", "--xi", "-2,1", "--zeta", "-1,-1") == (

@@ -25,7 +25,7 @@ from quatsqrt.places import REAL, Place, _local_classes, is_local_square, suppor
 from quatsqrt.rationals import _square_class, is_square
 
 import oracles
-from oracles import diagonal_zero_search, ternary_zero_search, trial_division
+from oracles import ternary_zero_search, trial_division
 
 nonzero_rationals = st.fractions(
     min_value=-60, max_value=60, max_denominator=20
@@ -34,6 +34,8 @@ nonzero_small = st.integers(min_value=-30, max_value=30).filter(lambda n: n != 0
 wide_rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**3
 ).filter(lambda q: q != 0)
+# The product of two 21-digit primes, far too slow to factor in a test.
+N2 = 100000000000000000039 * 100000000000000000193
 
 
 def ternary_forms():
@@ -108,6 +110,17 @@ class TestGlobalIsotropy:
             assert form(found) == 0
         if not is_isotropic(form):
             assert found is None
+
+    def test_dimension_five_and_up_matches_hasse_minkowski(self):
+        rng = random.Random(56)
+        answers = set()
+        for _ in range(300):
+            entries = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 4))
+                       for _ in range(rng.choice((5, 6)))]
+            answer = is_isotropic(DiagonalForm(entries))
+            assert answer is forms_module._isotropic([_square_class(x) for x in entries])
+            answers.add(answer)
+        assert answers == {True, False}
 
     @given(ternary_forms())
     @settings(max_examples=100)
@@ -326,6 +339,20 @@ class TestFactorOnce:
     def test_is_isotropic(self, entries, isotropic, factor_calls):
         assert is_isotropic(DiagonalForm(entries)) is isotropic
         assert sorted(factor_calls) == sorted(map(Fraction, entries))
+
+    @pytest.mark.parametrize(
+        "entries, isotropic",
+        [
+            ((1, 1, 1, 1, -N2), True),
+            ((1, 1, 1, 1, N2), False),
+            ((Fraction(-1, 3), 2, 5, -7, N2, 11), True),
+            ((-1, -2, -3, -5, Fraction(-7, 2), -N2), False),
+        ],
+    )
+    def test_dimension_five_and_up_factors_nothing(self, entries, isotropic, factor_calls):
+        # Meyer: isotropic at every prime, so the signs decide.
+        assert is_isotropic(DiagonalForm(entries)) is isotropic
+        assert factor_calls == []
 
 
 def planted_conics():

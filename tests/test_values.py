@@ -14,7 +14,6 @@ from quatsqrt import (
     DiagonalForm,
     Factorization,
     Place,
-    Quaternion,
     QuaternionAlgebra,
 )
 
