@@ -56,22 +56,19 @@ class DiagonalForm(_Value):
 
 
 def _isotropic_at(reps: Sequence[int], v: Place) -> bool:
-    """Local isotropy at v of a diagonal form given by its entries' classes."""
-    n, det = len(reps), functools.reduce(_times, reps)
+    """Local isotropy at v of a diagonal form given by its entries' classes:
+    of any dimension at the real place, of dimension 3 or 4 at a prime."""
     if v.is_real:
         return min(reps) < 0 < max(reps)
-    if n <= 2:
-        return n == 2 and _local_square(-det, v)
-    if n >= 5:
-        return True
-    hasse = _hasse(reps, v)
-    if n == 3:
+    det, hasse = functools.reduce(_times, reps), _hasse(reps, v)
+    if len(reps) == 3:
         return hasse == _symbol_squarefree(-1, -det, v)
     return not (_local_square(det, v) and hasse == -_symbol_squarefree(-1, -1, v))
 
 
 def _isotropic(classes: Sequence[_Class]) -> bool:
-    """Hasse-Minkowski on the entries' square classes, dimension >= 3."""
+    """Hasse-Minkowski on the entries' square classes, dimension 3 or 4;
+    `is_isotropic` answers the other dimensions itself."""
     reps = [s for s, _ in classes]
     return all(_isotropic_at(reps, v) for v in _places_over(p for _, ps in classes for p in ps))
 

@@ -286,8 +286,7 @@ def _sqrt_nonsplit(algebra: QuaternionAlgebra, n: int, d: int) -> Quaternion | N
         pure, y = (0, r, 0), d * bn
     else:
         (A, B, (sAB, pAB)), C = algebra._classes, _square_class(Fraction(n, d))
-        factors = _search_common_value((C, (-A[0], A[1])), (B, (-sAB, pAB)))
-        E, s = (math.prod(factors), [p for p in factors if p > 0]), 1 if n > 0 else -1
+        E, s = _search_common_value((C, (-A[0], A[1])), (B, (-sAB, pAB))), 1 if n > 0 else -1
         # On (num, den > 0) pairs, signs on the numerators, for e = E[0]:
         # m0^2 - (alpha/a)*v^2 = e/a and l0^2 - alpha*l1^2 = e/beta.
         cm = _certificate((n, d), C, (s * an * d, ad * abs(n)), _class_times(C, A), E)

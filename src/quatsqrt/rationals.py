@@ -11,7 +11,6 @@ import itertools
 import math
 import operator
 import re
-from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 
@@ -274,39 +273,18 @@ class _Value:
 
 
 class Factorization(_Value):
-    """A signed factorization q = sign * prod(p**e).
+    """A signed factorization q = sign * prod(p**e), as `factor` returns it.
 
     Primes are strictly increasing, exponents nonzero; denominator primes
-    carry negative exponents. value() reassembles the original rational.
+    carry negative exponents.
     """
 
     _fields = ("sign", "factors")
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]) -> None:
-        _expect(factors, Iterable)
-        _expect(sign, int)
-        if sign not in (-1, 1):
-            raise ValueError(f"sign must be +-1, got {sign}")
-        factors = tuple((p, e) for p, e in factors)
-        prev = 1
-        for p, e in factors:
-            _expect(e, int)
-            if p <= prev:
-                raise ValueError("primes must be strictly increasing")
-            if e == 0:
-                raise ValueError(f"zero exponent at prime {p}")
-            if not is_prime(p):
-                raise ValueError(f"not a prime: {p}")
-            prev = p
-        self._set(sign, factors)
-
-    def value(self) -> Fraction:
-        out = Fraction(self.sign)
-        for p, e in self.factors:
-            out *= Fraction(p) ** e
-        return out
+    def __init__(self, *args: object) -> None:
+        raise TypeError("a Factorization is built by factor(q)")
 
 
 def factor(q: RationalLike) -> Factorization:

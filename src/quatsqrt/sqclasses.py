@@ -8,8 +8,8 @@ solvable. _common_value takes the forms' Fraction entries and returns d with
 a certificate (u, v), b0*u^2 + b1*v^2 = d, for each form <b0, b1>. If one form
 is isotropic, d is the other's first entry, certified there by (1, 0), and
 nothing is factored. Otherwise the search, _search_common_value, takes the
-entries' classes (s, primes of s) and returns d's factors, and `_certificate`
-solves each certificate conic on integers, for `sqrt` too.
+entries' classes (s, primes of s) and returns d's class (d, primes of d),
+and `_certificate` solves each certificate conic on integers, for `sqrt` too.
 
 The system is built once: columns -1 and the starting primes (2 and the
 entries' primes), ascending, and one row, a column bitmask and an rhs bit,
@@ -141,8 +141,7 @@ def _common_value(xi: Sequence[Fraction],
     classes = [[_square_class(x) for x in form] for form in (xi, zeta)]
     if not _isotropic([*classes[0], *[(-s, primes) for s, primes in classes[1]]]):
         return None
-    factors = _search_common_value(*classes)
-    e = (math.prod(factors), [p for p in factors if p > 0])
+    e = _search_common_value(*classes)
     # <b0, b1> is read as u^2 - r*v^2 = e/b0, r = -b1/b0 in the class of -b0*b1.
     certs = [_certificate(b0.as_integer_ratio(), c0, (-b1 / b0).as_integer_ratio(),
                           _class_times(c0, (-s1, p1)), e)
@@ -150,9 +149,9 @@ def _common_value(xi: Sequence[Fraction],
     return Fraction(e[0]), *[(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in certs]
 
 
-def _search_common_value(xi: Sequence[_Class], zeta: Sequence[_Class]) -> list[int]:
+def _search_common_value(xi: Sequence[_Class], zeta: Sequence[_Class]) -> _Class:
     """The GF(2) search on the entries' classes, for two anisotropic forms whose
-    values meet: the factors, from -1 and the primes, of the common value."""
+    values meet: the common value's class (e, primes of e), e squarefree."""
     columns = [-1, *sorted({2, *(p for _, primes in (*xi, *zeta) for p in primes)})]
     # <b0, b1> represents d at v iff (-b0*b1, d)_v = (b0, b1)_v. Squarefree
     # parts stand for the six classes, so no round factors anything.
@@ -177,7 +176,8 @@ def _search_common_value(xi: Sequence[_Class], zeta: Sequence[_Class]) -> list[i
     for counted in itertools.count():
         eps = solve_gf2(masks, rhs, len(columns))
         if eps is not None:
-            return [c for c, e in zip(columns, eps) if e]
+            factors = [c for c, e in zip(columns, eps) if e]
+            return math.prod(factors), [p for p in factors if p > 0]
         if counted == _PRIME_APPEND_CAP:
             raise RuntimeError("common-value search exceeded the prime-append cap")
         # q is odd and outside the starting primes, so the discriminants, rhs

@@ -25,7 +25,7 @@ from quatsqrt.places import REAL, Place, _local_classes, is_local_square, suppor
 from quatsqrt.rationals import _square_class, is_square
 
 import oracles
-from oracles import ternary_zero_search, trial_division
+from oracles import hilbert_oracle_finite, local_square_oracle, ternary_zero_search, trial_division
 
 nonzero_rationals = st.fractions(
     min_value=-60, max_value=60, max_denominator=20
@@ -60,30 +60,43 @@ class TestDiagonalForm:
 
 
 def isotropic_at_place(form, v):
-    """Local isotropy at v, as the package decides it for `is_isotropic`."""
+    """Local isotropy at v, as the package decides it for `is_isotropic`: at
+    the real place in any dimension, at a prime in dimensions 3 and 4."""
     return forms_module._isotropic_at(_local_classes(form, v), v)
 
 
 class TestLocalIsotropy:
+    """Dimensions 3 and 4 through the package; dimensions 1, 2 and 5, which
+    `is_isotropic` settles without a place, through the README's recipe,
+    `textbook_isotropic_local`, checked against the residue-scan oracles."""
+
     def test_real_place(self):
-        assert isotropic_at_place(DiagonalForm((1, -1)), REAL)
-        assert not isotropic_at_place(DiagonalForm((1, 1, 1, 1, 1)), REAL)
-        assert not isotropic_at_place(DiagonalForm((-2,)), REAL)
+        for entries, isotropic in (((1, -1), True), ((1, 1, 1, 1, 1), False), ((-2,), False)):
+            form = DiagonalForm(entries)
+            assert isotropic_at_place(form, REAL) is isotropic
+            assert textbook_isotropic_local(form, REAL) is isotropic
 
     def test_classical_facts(self):
         two = Place(2)
         # sums of 3 or 4 squares have no nontrivial zero over the 2-adics
         assert not isotropic_at_place(DiagonalForm((1, 1, 1)), two)
         assert not isotropic_at_place(DiagonalForm((1, 1, 1, 1)), two)
-        assert isotropic_at_place(DiagonalForm((1, 1, 1, 1, 1)), two)
         for p in (3, 5, 7):
             assert isotropic_at_place(DiagonalForm((1, 1, 1)), Place(p))
+        # five squares: -7 is a 2-adic square, so 1 + 1 + 1 + 2^2 + (sqrt -7)^2 = 0,
+        # and at an odd p already <1, 1, 1> is isotropic, as (-1, -1)_p = 1
+        five = DiagonalForm((1, 1, 1, 1, 1))
+        assert textbook_isotropic_local(five, two) and local_square_oracle(Fraction(-7), 2)
+        for p in (3, 5, 7):
+            assert textbook_isotropic_local(five, Place(p))
+            assert hilbert_oracle_finite(-1, -1, p) == 1
         # <1,-2> : 2 is a square mod 7, not over Q_5
-        assert isotropic_at_place(DiagonalForm((1, -2)), Place(7))
-        assert not isotropic_at_place(DiagonalForm((1, -2)), Place(5))
+        for p, isotropic in ((7, True), (5, False)):
+            assert textbook_isotropic_local(DiagonalForm((1, -2)), Place(p)) is isotropic
+            assert local_square_oracle(Fraction(2), p) is isotropic
 
     def test_dimension_one(self):
-        assert not isotropic_at_place(DiagonalForm((5,)), Place(5))
+        assert textbook_isotropic_local(DiagonalForm((5,)), Place(5)) is False
 
 
 class TestGlobalIsotropy:
@@ -117,8 +130,9 @@ class TestGlobalIsotropy:
         for _ in range(300):
             entries = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 4))
                        for _ in range(rng.choice((5, 6)))]
-            answer = is_isotropic(DiagonalForm(entries))
-            assert answer is forms_module._isotropic([_square_class(x) for x in entries])
+            form = DiagonalForm(entries)
+            answer = is_isotropic(form)
+            assert answer is all(textbook_isotropic_local(form, v) for v in support_places(form))
             answers.add(answer)
         assert answers == {True, False}
 
@@ -128,7 +142,7 @@ class TestGlobalIsotropy:
         local = all(isotropic_at_place(form, v) for v in support_places(form))
         assert local == is_isotropic(form)
 
-    @given(st.lists(nonzero_rationals, min_size=2, max_size=5))
+    @given(st.lists(nonzero_rationals, min_size=3, max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_local_matches_the_textbook_formula(self, entries):
         form = DiagonalForm(tuple(entries))
@@ -142,6 +156,8 @@ def textbook_isotropic_local(form, v):
     if v.is_real:
         return any(x < 0 for x in form) and any(x > 0 for x in form)
     n, det = form.dim, math.prod(form.entries)
+    if n == 1:
+        return False
     if n == 2:
         return is_local_square(-det, v)
     if n == 3:

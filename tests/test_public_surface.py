@@ -6,7 +6,9 @@ moving code between modules must leave these attributes where they are. The
 traced names are read from the tracer's own FUNCTIONS and METHODS, so they
 cannot drift from what a traced run binds. `sqclasses.singular_basis` stays
 public for that reason, though no path of the package calls it, and
-`sqclasses.solve_gf2` stays bound, though it left `__all__`.
+`sqclasses.solve_gf2` stays bound, though it left `__all__`. Each removed
+name must stay gone and keep its note in the README's "Migrating from
+removed names" section.
 """
 
 import importlib
@@ -67,7 +69,9 @@ REMOVED_METHODS = [
     ("places", "Place", "finite"),
     ("places", "Place", "real"),
     ("quaternions", "QuaternionAlgebra", "pure_norm_form"),
+    ("rationals", "Factorization", "value"),
 ]
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def test_all_is_pinned():
@@ -96,6 +100,19 @@ def test_removed_function_is_gone(module, name):
 @pytest.mark.parametrize("module, cls, method", REMOVED_METHODS)
 def test_removed_method_is_gone(module, cls, method):
     assert not hasattr(getattr(importlib.import_module(f"quatsqrt.{module}"), cls), method)
+
+
+@pytest.mark.parametrize("name", [f[-1] for f in REMOVED_FUNCTIONS + REMOVED_METHODS])
+def test_removed_name_has_a_migration_note(name):
+    section = README.split("## Migrating from removed names\n", 1)[1].split("\n## ", 1)[0]
+    assert f"`{name}`" in section
+
+
+def test_factorization_is_built_only_by_factor():
+    # The constructor's validation is gone; `factor` is the one way to get one.
+    for args in ((1, ()), ()):
+        with pytest.raises(TypeError, match=r"built by factor\(q\)$"):
+            quatsqrt.Factorization(*args)
 
 
 def test_solve_gf2_is_internal_to_the_search():

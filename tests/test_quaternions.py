@@ -22,7 +22,7 @@ from quatsqrt.forms import (
 from quatsqrt.hilbert import hasse_invariant, hilbert_symbol
 from quatsqrt.places import REAL, Place, is_local_square, support_places
 from quatsqrt.quaternions import Quaternion, QuaternionAlgebra, sqrt
-from quatsqrt.rationals import Factorization, is_square
+from quatsqrt.rationals import is_square
 from quatsqrt.sqclasses import _common_value, common_value, singular_basis
 
 import oracles
@@ -234,10 +234,6 @@ class TestArithmetic:
             pytest.param(lambda: DiagonalForm(2.0), "float", id="DiagonalForm(2.0)"),
             pytest.param(lambda: singular_basis(2.0), "float", id="singular_basis(2.0)"),
             pytest.param(lambda: support_places(2.0), "float", id="support_places(2.0)"),
-            pytest.param(lambda: Factorization(1, 2.0), "float", id="Factorization(1, 2.0)"),
-            pytest.param(lambda: Factorization(1.0, ()), "float", id="Factorization(1.0, ())"),
-            pytest.param(lambda: Factorization(1, ((2, Fraction(1, 2)),)), "Fraction",
-                         id="Factorization(1, ((2, 1/2),))"),
         ],
     )
     def test_entry_points_name_the_wrong_type(self, call, type_name):

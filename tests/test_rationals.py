@@ -37,6 +37,11 @@ def near_psi(limit):
     return st.sampled_from(psis).flatmap(lambda psi: st.integers(max(1, psi - 10**4), psi + 10**4))
 
 
+def recipe_value(f):
+    """The rational a factorization stands for, by the README's recipe."""
+    return f.sign * math.prod(Fraction(p) ** e for p, e in f.factors)
+
+
 class TestParsing:
     def test_integer(self):
         assert parse_rational("42") == 42
@@ -149,13 +154,15 @@ class TestFactor:
 
     def test_contract_example(self):
         f = factor(Fraction(-5, 8))
+        assert type(f) is Factorization
         assert f.sign == -1
         assert f.factors == ((2, -3), (5, 1))
-        assert f.value() == Fraction(-5, 8)
+        assert recipe_value(f) == Fraction(-5, 8)
 
     def test_unit_values(self):
         assert factor(1).factors == ()
-        assert factor(-1) == Factorization(-1, ())
+        f = factor(-1)
+        assert (f.sign, f.factors) == (-1, ())
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -184,7 +191,7 @@ class TestFactor:
     @given(nonzero_rationals)
     def test_value_round_trip(self, q):
         f = factor(q)
-        assert f.value() == q
+        assert recipe_value(f) == q
         primes = [p for p, _ in f.factors]
         assert primes == sorted(primes)
         assert len(set(primes)) == len(primes)
@@ -209,16 +216,6 @@ class TestFactor:
             (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (10007, 1), (10009, 1)
         )
         assert calls == [10007 * 10009]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Factorization(0, ())
-        with pytest.raises(ValueError):
-            Factorization(1, ((3, 1), (2, 1)))  # not increasing
-        with pytest.raises(ValueError):
-            Factorization(1, ((2, 0),))  # zero exponent
-        with pytest.raises(ValueError):
-            Factorization(1, ((4, 1),))  # composite
 
 
 PRIMES_47_TO_10K = [p for p in range(48, 10**4) if trial_division(p) == {p: 1}]
@@ -313,7 +310,8 @@ class TestFactorGcdSizedToTheInput:
             q = Fraction(n, d)
             exps = trial_division(abs(q.numerator))
             exps.update((p, -e) for p, e in trial_division(q.denominator).items())
-            assert factor(q) == Factorization(1 if n > 0 else -1, tuple(sorted(exps.items())))
+            f = factor(q)
+            assert (f.sign, f.factors) == (1 if n > 0 else -1, tuple(sorted(exps.items())))
 
 
 class TestSquarefreePart:

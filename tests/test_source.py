@@ -6,8 +6,10 @@
   leftover of a deletion. This rule also covers tests/ and tools/.
   `__init__.py` is skipped, as its imports are the surface it re-exports.
 - No unreferenced private helper: a `_x` function, method or class (not a
-  dunder) that no module of the package names as a Name, an Attribute or
-  a `from` import is a leftover of a deletion too.
+  dunder) that no module of the package reads, as a load-context Name, an
+  Attribute or a `from` import, is a leftover of a deletion too.
+- No unread private constant: a module-level `_X = ...` or `_X: T = ...`
+  (not a dunder) that no module of the package reads is one as well.
 
 Each file is parsed once, at import. Each rule returns `path:line: name`
 lines, and a planted violation in a copy of one module's tree must come
@@ -51,18 +53,34 @@ def unused_imports(trees):
     return found
 
 
-def unreferenced_private_helpers(trees):
+def reads(trees):
+    """The names the trees read: as a load-context Name, an Attribute or a `from` import."""
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
-    used = ({node.id for node in nodes if isinstance(node, ast.Name)}
+    return ({node.id for node in nodes if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load)}
             | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
             | {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
                for alias in node.names})
+
+
+def private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unreferenced_private_helpers(trees):
+    read = reads(trees)
     return [f"{path}:{node.lineno}: {node.name}" for path, tree in trees.items()
             for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_")
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in used]
+            and private(node.name) and node.name not in read]
+
+
+def unread_private_constants(trees):
+    read = reads(trees)
+    return [f"{path}:{node.lineno}: {target.id}" for path, tree in trees.items()
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and private(target.id) and target.id not in read]
 
 
 def test_package_has_no_assert():
@@ -82,6 +100,11 @@ def test_tests_and_tools_have_no_unused_import():
 
 def test_package_has_no_unreferenced_private_helper():
     found = unreferenced_private_helpers(PACKAGE)
+    assert found == [], "\n".join(found)
+
+
+def test_package_has_no_unread_private_constant():
+    found = unread_private_constants(PACKAGE)
     assert found == [], "\n".join(found)
 
 
@@ -107,3 +130,8 @@ def test_planted_unused_import_is_reported():
 def test_planted_private_helper_is_reported():
     trees, where = planted("def _orphan(): pass")
     assert unreferenced_private_helpers(trees) == [f"{where}: _orphan"]
+
+
+def test_planted_private_constant_is_reported():
+    trees, where = planted("_ORPHAN = 1")
+    assert unread_private_constants(trees) == [f"{where}: _ORPHAN"]
